@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short check detv2-test islands-test store-test batch-test service-test lint resume-test fleet-test bench bench-json experiments experiments-full fuzz clean
+.PHONY: all build test test-short check detv2-test islands-test store-test batch-test service-test lint resume-test fleet-test bench bench-json experiments experiments-full fuzz loc clean
 
 all: build test
 
@@ -52,8 +52,8 @@ detv2-test:
 # (internal/ga, internal/islands), the core kill-and-resume matrix at
 # 1/2/4 islands × 1/8 farm workers under both determinism contracts with
 # surrogate screening on and off (internal/core), and the daemon surface —
-# fleet 0/2-node agreement, island job submission, /api/v1 vs legacy
-# /metrics alias consistency (cmd/dstressd). The suite then repeats once
+# fleet 0/2-node agreement, island job submission and its metrics sections
+# (cmd/dstressd). The suite then repeats once
 # under the race detector: island evaluation fans out one goroutine per
 # island over shared farm pools.
 islands-test:
@@ -64,12 +64,12 @@ islands-test:
 
 # The persistence crash matrix: subprocess SIGKILL mid-append, mid-rotation
 # and mid-compaction of the segmented store (every acknowledged record must
-# replay after a strict reopen), the staged crash windows of the
-# legacy-file migration (virusdb JSON array, farm whole-doc journal), the
-# salvage/validation regression suites, and one -race iteration of the
-# store package: the store is shared by concurrent campaign jobs.
+# replay after a strict reopen), the refusal of pre-seglog single-file
+# stores (virusdb JSON array, farm whole-doc journal), the salvage/validation
+# regression suites, and one -race iteration of the store package: the store
+# is shared by concurrent campaign jobs.
 store-test:
-	$(GO) test -run 'Seglog|Migrat|Torn|Corrupt|Compact|Manifest|Salvage|Journal' \
+	$(GO) test -run 'Seglog|Torn|Corrupt|Compact|Manifest|Salvage|Journal' \
 		./internal/seglog ./internal/virusdb ./internal/farm
 	$(GO) test -race -count 1 ./internal/seglog
 
@@ -177,6 +177,15 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseStmts -fuzztime=30s ./internal/minicc
 	$(GO) test -fuzz=FuzzInterpreter -fuzztime=30s ./internal/minicc
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/vpl
+
+# Go line counts, non-test and test, over the module — the size the design
+# aims track next to the benchmark numbers. perfbench/ (its own module) and
+# the .bench_build/ scratch tree are left out.
+LOC_FILES = find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*'
+
+loc:
+	@printf 'non-test %s\n' $$($(LOC_FILES) -not -name '*_test.go' -exec cat {} + | wc -l)
+	@printf 'test     %s\n' $$($(LOC_FILES) -name '*_test.go' -exec cat {} + | wc -l)
 
 clean:
 	rm -f results.md viruses.json

@@ -17,8 +17,8 @@
 // section plus campaign_wallclock_ratio / campaign_evals_ratio derived keys.
 // With -store it runs the persistence benchmark (see store.go): p50/p99
 // append latency and bytes written per append for the virus database at 10k
-// and 100k preloaded records, legacy whole-file-rewrite layout vs the
-// seglog store, recorded as a "store" section plus store_* derived ratios.
+// and 100k preloaded records in the seglog store, recorded as a "store"
+// section plus the store_seglog_p99_growth derived ratio.
 // With -batch it runs the population-batched evaluation comparison (see
 // batch.go): per-genome v2 evaluation vs AverageRunsBatch at populations
 // 32/128/512, recorded as a "batch" section plus speedup_batch_pop* and
@@ -67,8 +67,8 @@ type Snapshot struct {
 	Derived map[string]float64 `json:"derived,omitempty"`
 	// Campaign is the islands-vs-single-population comparison (-campaign).
 	Campaign *Campaign `json:"campaign,omitempty"`
-	// Store is the virusdb persistence comparison (-store): legacy
-	// whole-file rewrites vs seglog appends at growing database sizes.
+	// Store is the virusdb append-latency trajectory (-store) at growing
+	// database sizes.
 	Store *StoreBench `json:"store,omitempty"`
 	// Batch is the population-batched vs per-genome evaluation comparison
 	// (-batch) at growing population sizes.

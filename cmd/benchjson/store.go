@@ -1,17 +1,13 @@
 package main
 
 // The store benchmark (-store): append latency and write amplification of
-// the virus database at growing sizes, old layout vs new. The legacy layout
-// re-marshalled and re-fsynced the whole JSON array on every insert, so
-// append cost grew linearly with database size (O(N²) cumulative over a
-// campaign); the seglog layout appends one CRC'd frame and fsyncs it, so
-// cost is flat. The snapshot records p50/p99 append latency and bytes
-// written per append at each preloaded size — the acceptance gauge is the
-// seglog p99 at 100k records staying within 2x of its 10k value while the
-// legacy path grows ~10x.
+// the virus database at growing sizes. The seglog store appends one CRC'd
+// frame and fsyncs it, so append cost should stay flat as the database
+// grows. The snapshot records p50/p99 append latency and bytes written per
+// append at each preloaded size — the gauge is the p99 at 100k records
+// staying within 2x of its 10k value.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io/fs"
 	"os"
@@ -19,7 +15,6 @@ import (
 	"sort"
 	"time"
 
-	"dstress/internal/seglog"
 	"dstress/internal/virusdb"
 )
 
@@ -27,10 +22,6 @@ import (
 type StorePoint struct {
 	Records int `json:"records"` // preloaded database size
 	Appends int `json:"appends"` // timed single-record appends
-
-	LegacyP50Ms          float64 `json:"legacy_p50_ms"`
-	LegacyP99Ms          float64 `json:"legacy_p99_ms"`
-	LegacyBytesPerAppend float64 `json:"legacy_bytes_per_append"`
 
 	SeglogP50Ms          float64 `json:"seglog_p50_ms"`
 	SeglogP99Ms          float64 `json:"seglog_p99_ms"`
@@ -59,8 +50,8 @@ func storeRecord(i int) virusdb.Record {
 	}
 }
 
-// runStoreBench measures both layouts at each size and derives the ratio
-// keys merged into Snapshot.Derived.
+// runStoreBench measures the store at each size and derives the growth key
+// merged into Snapshot.Derived.
 func runStoreBench(sizes []int, appends int) (*StoreBench, map[string]float64, error) {
 	sb := &StoreBench{}
 	for _, n := range sizes {
@@ -70,20 +61,11 @@ func runStoreBench(sizes []int, appends int) (*StoreBench, map[string]float64, e
 		}
 		sb.Points = append(sb.Points, pt)
 		fmt.Fprintf(os.Stderr,
-			"benchjson: store @%6d records: legacy p99 %8.3fms  seglog p99 %8.3fms\n",
-			n, pt.LegacyP99Ms, pt.SeglogP99Ms)
+			"benchjson: store @%6d records: seglog p99 %8.3fms\n",
+			n, pt.SeglogP99Ms)
 	}
 	derived := map[string]float64{}
-	for _, pt := range sb.Points {
-		if pt.SeglogP99Ms > 0 {
-			derived[fmt.Sprintf("store_speedup_p99_%dk", pt.Records/1000)] =
-				pt.LegacyP99Ms / pt.SeglogP99Ms
-		}
-	}
 	first, last := sb.Points[0], sb.Points[len(sb.Points)-1]
-	if first.LegacyP99Ms > 0 {
-		derived["store_legacy_p99_growth"] = last.LegacyP99Ms / first.LegacyP99Ms
-	}
 	if first.SeglogP99Ms > 0 {
 		derived["store_seglog_p99_growth"] = last.SeglogP99Ms / first.SeglogP99Ms
 	}
@@ -98,31 +80,9 @@ func measureStorePoint(preload, appends int) (StorePoint, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	// Legacy layout: whole-array rewrite per append, the pre-seglog save().
-	lw := &legacyWriter{path: filepath.Join(dir, "legacy.json")}
-	for i := 0; i < preload; i++ {
-		lw.records = append(lw.records, storeRecord(i))
-	}
-	if err := lw.save(); err != nil { // preload write, untimed
-		return pt, err
-	}
-	lw.bytes = 0
-	var lat []float64
-	for i := 0; i < appends; i++ {
-		lw.records = append(lw.records, storeRecord(preload+i))
-		t0 := time.Now()
-		if err := lw.save(); err != nil {
-			return pt, err
-		}
-		lat = append(lat, float64(time.Since(t0).Nanoseconds())/1e6)
-	}
-	pt.LegacyP50Ms, pt.LegacyP99Ms = percentiles(lat)
-	pt.LegacyBytesPerAppend = float64(lw.bytes) / float64(appends)
-	os.Remove(lw.path)
-
-	// Seglog layout through the real virusdb API. The preload uses batched
-	// Append calls (one fsync per batch); the timed loop appends one record
-	// per call, the campaign pattern.
+	// Through the real virusdb API. The preload uses batched Append calls
+	// (one fsync per batch); the timed loop appends one record per call, the
+	// campaign pattern.
 	dbPath := filepath.Join(dir, "viruses.json")
 	db, err := virusdb.Open(dbPath)
 	if err != nil {
@@ -140,7 +100,7 @@ func measureStorePoint(preload, appends int) (StorePoint, error) {
 		}
 	}
 	before := dirSize(dbPath)
-	lat = lat[:0]
+	var lat []float64
 	for i := 0; i < appends; i++ {
 		r := storeRecord(preload + i)
 		t0 := time.Now()
@@ -154,49 +114,6 @@ func measureStorePoint(preload, appends int) (StorePoint, error) {
 	// appends wrote (manifest rewrites on rotation are counted too).
 	pt.SeglogBytesPerAppend = float64(dirSize(dbPath)-before) / float64(appends)
 	return pt, nil
-}
-
-// legacyWriter replicates the pre-seglog virusdb save path: marshal the
-// whole record array, write to a temp file, fsync, rename (plus the
-// directory fsync the old code was missing — charging the legacy side for
-// the durability bugfix keeps the comparison honest).
-type legacyWriter struct {
-	path    string
-	records []virusdb.Record
-	bytes   int64
-}
-
-func (lw *legacyWriter) save() error {
-	data, err := json.MarshalIndent(lw.records, "", " ")
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(lw.path)
-	tmp, err := os.CreateTemp(dir, ".legacy-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, lw.path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	lw.bytes += int64(len(data))
-	return seglog.FsyncDir(dir)
 }
 
 func percentiles(lat []float64) (p50, p99 float64) {

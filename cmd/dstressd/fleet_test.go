@@ -14,9 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"dstress/internal/checkpoint"
 	"dstress/internal/farm"
 	"dstress/internal/fleet"
+	"dstress/internal/seglog"
 )
 
 // fastFleetConfig keeps failure detection snappy enough for tests: a killed
@@ -29,13 +29,16 @@ func fastFleetConfig() fleet.Config {
 	}
 }
 
-// rawStatus fetches a URL and reports status code, content type and the
-// envelope's error message.
-func rawStatus(t *testing.T, method, url string) (int, string, string) {
+// rawStatus sends a bodiless request with an optional bearer token and
+// reports the status code, the content type and the decoded error envelope.
+func rawStatus(t *testing.T, method, url, token string) (int, string, errorBody) {
 	t.Helper()
 	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if token != "" {
+		req.Header.Set("Authorization", "Bearer "+token)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -44,38 +47,60 @@ func rawStatus(t *testing.T, method, url string) (int, string, string) {
 	defer resp.Body.Close()
 	var body errorBody
 	_ = json.NewDecoder(resp.Body).Decode(&body)
-	return resp.StatusCode, resp.Header.Get("Content-Type"), body.Error.Message
+	return resp.StatusCode, resp.Header.Get("Content-Type"), body
 }
 
-// TestJSONNotFoundEverywhere: unknown job ids across GET/wait/cancel and
-// unknown paths all answer 404 with a JSON error body, never Go's plain-text
-// 404 page — fleet clients must be able to tell "gone" from a transport
-// failure mechanically.
+// TestJSONNotFoundEverywhere: unknown job ids across GET/wait/cancel, unknown
+// paths and the retired pre-/api/v1 spellings all answer 404 with the
+// not_found JSON envelope, never Go's plain-text 404 page — fleet clients
+// must be able to tell "gone" from a transport failure mechanically. The
+// answers are the same with auth on, for an authenticated caller.
 func TestJSONNotFoundEverywhere(t *testing.T) {
-	_, ts := testDaemon(t, 2, false)
+	_, open := testDaemon(t, 2, false)
+	_, authed := authedDaemon(t, 2)
 	cases := []struct {
 		method, path string
 	}{
-		{http.MethodGet, "/api/jobs/999"},
-		{http.MethodGet, "/api/jobs/999/wait"},
-		{http.MethodPost, "/api/jobs/999/cancel"},
-		{http.MethodGet, "/api/no/such/path"},
-		{http.MethodGet, "/api/jobs/999/"},
-		{http.MethodPost, "/api/fleet/nonsense"},
+		{http.MethodGet, "/api/v1/jobs/999"},
+		{http.MethodGet, "/api/v1/jobs/999/wait"},
+		{http.MethodPost, "/api/v1/jobs/999/cancel"},
+		{http.MethodGet, "/api/v1/no/such/path"},
+		{http.MethodGet, "/api/v1/jobs/999/"},
+		{http.MethodPost, "/api/v1/fleet/nonsense"},
+		// Retired spellings from before /api/v1.
+		{http.MethodPost, "/api/jobs"},
+		{http.MethodGet, "/metrics"},
+		{http.MethodPost, "/api/fleet/join"},
 	}
-	for _, c := range cases {
-		code, ctype, errMsg := rawStatus(t, c.method, ts.URL+c.path)
-		if code != http.StatusNotFound {
-			t.Errorf("%s %s: HTTP %d, want 404", c.method, c.path, code)
+	servers := []struct {
+		name, url, token string
+	}{
+		{"auth off", open.URL, ""},
+		{"auth on", authed.URL, "tokA"},
+	}
+	check := func(srv, method, url, token string) {
+		t.Helper()
+		code, ctype, body := rawStatus(t, method, url, token)
+		if code != http.StatusNotFound || body.Error.Code != "not_found" {
+			t.Errorf("%s: %s %s: HTTP %d code %q, want 404 not_found",
+				srv, method, url, code, body.Error.Code)
 		}
 		if !strings.HasPrefix(ctype, "application/json") {
-			t.Errorf("%s %s: Content-Type %q, want application/json",
-				c.method, c.path, ctype)
+			t.Errorf("%s: %s %s: Content-Type %q, want application/json",
+				srv, method, url, ctype)
 		}
-		if errMsg == "" {
-			t.Errorf("%s %s: no JSON error field in the body", c.method, c.path)
+		if body.Error.Message == "" {
+			t.Errorf("%s: %s %s: no JSON error message in the body", srv, method, url)
 		}
 	}
+	for _, srv := range servers {
+		for _, c := range cases {
+			check(srv.name, c.method, srv.url+c.path, srv.token)
+		}
+	}
+	// /metrics lies outside /api/, so auth does not gate it: even without a
+	// token it is a 404, never a 401.
+	check("auth on, no token", http.MethodGet, authed.URL+"/metrics", "")
 }
 
 // TestDurableOverBudgetSubmitRejected: with a journal, a submission asking
@@ -98,7 +123,7 @@ func TestDurableOverBudgetSubmitRejected(t *testing.T) {
 	}()
 
 	var body errorBody
-	code := postJSON(t, ts.URL+"/api/jobs", jobRequest{
+	code := postJSON(t, ts.URL+"/api/v1/jobs", jobRequest{
 		Template: "data64", Generations: 1, Population: 4,
 		Workers: 16, Runs: 1,
 	}, &body)
@@ -128,18 +153,23 @@ func TestRecoverJobsClampsToBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hand-craft the journal a budget-8 daemon would have left behind.
-	file, err := checkpoint.Open(path, checkpoint.DefaultKeep)
+	// Hand-craft the journal a budget-8 daemon would have left behind: one
+	// "add" op for a job it was still running.
+	op, err := json.Marshal(map[string]any{"op": "add", "entry": farm.JournalEntry{
+		ID: 1, Name: "big", Workers: 8, Spec: spec, State: "running",
+		Submitted: time.Now(),
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = file.Save(struct {
-		Jobs []farm.JournalEntry `json:"jobs"`
-	}{Jobs: []farm.JournalEntry{{
-		ID: 1, Name: "big", Workers: 8, Spec: spec, State: "running",
-		Submitted: time.Now(),
-	}}})
+	st, _, err := seglog.Open(path, seglog.Options{SyncEvery: 1})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(op); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -220,7 +250,7 @@ func fleetVariant(t *testing.T, req jobRequest, n int, killOne bool) jobResult {
 	var status struct {
 		ID int `json:"id"`
 	}
-	if code := postJSON(t, ts.URL+"/api/jobs", req, &status); code != http.StatusAccepted {
+	if code := postJSON(t, ts.URL+"/api/v1/jobs", req, &status); code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
 	}
 
@@ -231,7 +261,7 @@ func fleetVariant(t *testing.T, req jobRequest, n int, killOne bool) jobResult {
 				t.Fatal("job never reached generation 2")
 			}
 			var view jobView
-			getJSON(t, ts.URL+"/api/jobs/1", &view)
+			getJSON(t, ts.URL+"/api/v1/jobs/1", &view)
 			if view.State.String() == "done" {
 				t.Fatal("job finished before the kill; slow the search down")
 			}
@@ -349,7 +379,7 @@ func TestFleetKillWorkerIntegration(t *testing.T) {
 		if time.Now().After(upDeadline) {
 			t.Fatal("daemon process did not come up")
 		}
-		resp, err := http.Get(base + "/api/jobs")
+		resp, err := http.Get(base + "/api/v1/jobs")
 		if err == nil {
 			resp.Body.Close()
 			break
@@ -376,7 +406,7 @@ func TestFleetKillWorkerIntegration(t *testing.T) {
 		if time.Now().After(joinDeadline) {
 			t.Fatalf("only %d worker processes joined", len(mv.Fleet.Workers))
 		}
-		getJSON(t, base+"/metrics", &mv)
+		getJSON(t, base+"/api/v1/metrics", &mv)
 		time.Sleep(20 * time.Millisecond)
 	}
 
@@ -384,7 +414,7 @@ func TestFleetKillWorkerIntegration(t *testing.T) {
 		Template: "data24k", Criterion: "max-ce", TempC: 55,
 		Generations: 10, Population: 8, Workers: 2, Seed: 99, Rows: 32, Runs: 16,
 	}
-	if code := postJSON(t, base+"/api/jobs", req, nil); code != http.StatusAccepted {
+	if code := postJSON(t, base+"/api/v1/jobs", req, nil); code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
 	}
 
@@ -394,7 +424,7 @@ func TestFleetKillWorkerIntegration(t *testing.T) {
 			t.Fatal("job never reached generation 2")
 		}
 		var view jobView
-		getJSON(t, base+"/api/jobs/1", &view)
+		getJSON(t, base+"/api/v1/jobs/1", &view)
 		if view.State.String() == "done" {
 			t.Fatal("job finished before the kill; slow the search down")
 		}
@@ -409,14 +439,14 @@ func TestFleetKillWorkerIntegration(t *testing.T) {
 	w1.Wait()
 
 	var finished jobView
-	if code := getJSON(t, base+"/api/jobs/1/wait", &finished); code != http.StatusOK {
+	if code := getJSON(t, base+"/api/v1/jobs/1/wait", &finished); code != http.StatusOK {
 		t.Fatalf("wait: HTTP %d", code)
 	}
 	if finished.State.String() != "done" || finished.Result == nil {
 		t.Fatalf("job after worker kill: state %s, error %q",
 			finished.State, finished.Error)
 	}
-	getJSON(t, base+"/metrics", &mv)
+	getJSON(t, base+"/api/v1/metrics", &mv)
 	if mv.Fleet.RemoteTasks == 0 {
 		t.Fatalf("no evaluations ran on the worker processes: %+v", mv.Fleet)
 	}

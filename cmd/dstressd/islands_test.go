@@ -3,9 +3,9 @@ package main
 import (
 	"fmt"
 	"net/http"
-	"reflect"
 	"testing"
 
+	"dstress/internal/dram"
 	"dstress/internal/islands"
 	"dstress/internal/predict"
 )
@@ -42,7 +42,9 @@ func TestIslandsFleetBitIdentical(t *testing.T) {
 
 // TestIslandsJobSubmitEndToEnd submits an island job with surrogate
 // screening over the versioned API and checks both the job result and the
-// /metrics islands section it must populate.
+// metrics sections it must populate: islands, and eval — the v2 job runs
+// through the batch engine, so eval must show batched work and a warm
+// scratch pool.
 func TestIslandsJobSubmitEndToEnd(t *testing.T) {
 	_, ts := testDaemon(t, 4, true)
 
@@ -63,6 +65,7 @@ func TestIslandsJobSubmitEndToEnd(t *testing.T) {
 
 	var mv struct {
 		Islands islands.MetricsSnapshot `json:"islands"`
+		Eval    dram.EvalStats          `json:"eval"`
 	}
 	if code := getJSON(t, ts.URL+"/api/v1/metrics", &mv); code != http.StatusOK {
 		t.Fatalf("metrics: HTTP %d", code)
@@ -76,6 +79,9 @@ func TestIslandsJobSubmitEndToEnd(t *testing.T) {
 		if st.Island != i || st.Generation != 4 || st.Best <= 0 {
 			t.Fatalf("island stat %d incomplete: %+v", i, st)
 		}
+	}
+	if ev := mv.Eval; ev.BatchItems < 1 || ev.BatchCalls < 1 || ev.PoolHitRate <= 0 {
+		t.Fatalf("eval metrics incomplete after the job: %+v", ev)
 	}
 }
 
@@ -115,71 +121,5 @@ func TestIslandsBadSubmissionRejected(t *testing.T) {
 		if body.Error.Code != "bad_request" {
 			t.Errorf("%s: error code %q, want bad_request", tc.name, body.Error.Code)
 		}
-	}
-}
-
-// TestIslandsMetricsAliasConsistent pins the versioned/legacy metrics
-// contract: /api/v1/metrics and the pre-versioning /metrics alias must serve
-// the same sections with the same content — the islands and fleet sections
-// in particular, which clients scrape from both spellings. The farm section
-// carries uptime-derived rates that move between two reads, so it is checked
-// for presence and the remaining sections for deep equality.
-func TestIslandsMetricsAliasConsistent(t *testing.T) {
-	_, ts := testDaemon(t, 4, false)
-
-	// One finished island job first, so the compared sections are non-trivial.
-	var status struct {
-		ID int `json:"id"`
-	}
-	if code := postJSON(t, ts.URL+"/api/v1/jobs", islandsJobRequest("v2"),
-		&status); code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
-	}
-	if view := waitJob(t, ts, fmt.Sprint(status.ID)); view.State.String() != "done" {
-		t.Fatalf("island job: state %s, error %q", view.State, view.Error)
-	}
-
-	var v1, legacy map[string]any
-	if code := getJSON(t, ts.URL+"/api/v1/metrics", &v1); code != http.StatusOK {
-		t.Fatalf("v1 metrics: HTTP %d", code)
-	}
-	if code := getJSON(t, ts.URL+"/metrics", &legacy); code != http.StatusOK {
-		t.Fatalf("legacy metrics: HTTP %d", code)
-	}
-	cases := []struct {
-		section string
-		deep    bool // false: time-varying content, presence only
-	}{
-		{"farm", false},
-		{"cache", true},
-		{"scheduler", true},
-		{"islands", true},
-		{"fleet", true},
-		{"eval", true},
-	}
-	for _, tc := range cases {
-		a, okA := v1[tc.section]
-		b, okB := legacy[tc.section]
-		if !okA || !okB {
-			t.Errorf("section %q missing (v1 %v, legacy %v)", tc.section, okA, okB)
-			continue
-		}
-		if tc.deep && !reflect.DeepEqual(a, b) {
-			t.Errorf("section %q differs between spellings:\n v1 %+v\n legacy %+v",
-				tc.section, a, b)
-		}
-	}
-	isl, ok := v1["islands"].(map[string]any)
-	if !ok || isl["searches"].(float64) < 1 || isl["migrations"].(float64) < 1 {
-		t.Fatalf("islands section not populated: %+v", v1["islands"])
-	}
-	// The v2 job above ran through the batch engine, so the eval section must
-	// show batched work and a warm scratch pool.
-	ev, ok := v1["eval"].(map[string]any)
-	if !ok || ev["batch_items"].(float64) < 1 || ev["batch_calls"].(float64) < 1 {
-		t.Fatalf("eval section not populated: %+v", v1["eval"])
-	}
-	if ev["pool_hit_rate"].(float64) <= 0 {
-		t.Fatalf("eval pool never warmed: %+v", v1["eval"])
 	}
 }

@@ -23,9 +23,8 @@
 // final checkpoint, and the daemon exits once they settle (or the -drain
 // deadline passes — the journal still holds whatever was flushed).
 //
-// Endpoints (the canonical surface is versioned under /api/v1; every
-// pre-versioning spelling remains as a thin alias of the same handler — the
-// README documents the full mapping):
+// Endpoints (every route lives under /api/v1; any other path answers the
+// JSON 404 envelope):
 //
 //	POST /api/v1/jobs            submit a search (JSON body, see jobRequest)
 //	GET  /api/v1/jobs            list all jobs
@@ -180,6 +179,18 @@ type jobRequest struct {
 // unbounded declared priority would simply be added to the weight in the
 // scheduler, letting any tenant outrank every weighted tenant forever.
 const maxPriority = 9
+
+// maxSubmitBody bounds a job submission body. The largest one any in-repo
+// client sends is an island job with a surrogate policy (islands_test.go),
+// under 1 KiB; 64 KiB leaves ample room without letting one request make
+// the daemon buffer an unbounded body.
+const maxSubmitBody = 64 << 10
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so stalled connections cannot pin server goroutines. There is
+// deliberately no WriteTimeout: /wait and its SSE stream stay open for the
+// length of a job.
+const readHeaderTimeout = 10 * time.Second
 
 // parseDeterminism maps the wire spelling to the dram contract version.
 func parseDeterminism(s string) (dram.DeterminismVersion, error) {
@@ -366,8 +377,13 @@ func (d *daemon) launch(p prepared, ckpt json.RawMessage) (*farm.Job, error) {
 
 func (d *daemon) submitJob(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
+	body := http.MaxBytesReader(w, r.Body, maxSubmitBody)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Errorf("bad request: %w", err))
 		return
 	}
 	p, err := d.prepare(req)
@@ -552,7 +568,7 @@ func (d *daemon) listJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, jobs)
 }
 
-// jobView is the GET /api/jobs/{id} response.
+// jobView is the GET /api/v1/jobs/{id} response.
 type jobView struct {
 	farm.JobStatus
 	Result *jobResult `json:"result,omitempty"`
@@ -687,14 +703,24 @@ func (d *daemon) findJob(w http.ResponseWriter, r *http.Request) (*farm.Job, far
 // getVirusDB serves the database: the index view without an experiment,
 // otherwise that experiment's records strongest-first (a stable sort over
 // the append order, so identical queries page identically), filtered by
-// min_fitness and windowed by offset/limit. "top" is the pre-v1 spelling of
-// limit and stays accepted.
+// min_fitness and windowed by offset/limit. Any other parameter is a 400: a
+// client misspelling one (or sending the retired "top") would otherwise get
+// an unfiltered, unpaged list without noticing.
 func (d *daemon) getVirusDB(w http.ResponseWriter, r *http.Request) {
 	if d.db == nil {
 		httpError(w, http.StatusNotFound, errors.New("daemon runs without a database"))
 		return
 	}
 	q := r.URL.Query()
+	for k := range q {
+		switch k {
+		case "experiment", "min_fitness", "offset", "limit":
+		default:
+			httpError(w, http.StatusBadRequest, fmt.Errorf("unknown parameter %q "+
+				"(want experiment, min_fitness, offset, limit)", k))
+			return
+		}
+	}
 	exp := q.Get("experiment")
 	if exp == "" {
 		writeJSON(w, http.StatusOK, map[string]any{
@@ -729,11 +755,7 @@ func (d *daemon) getVirusDB(w http.ResponseWriter, r *http.Request) {
 		}
 		recs = recs[n:]
 	}
-	limit := q.Get("limit")
-	if limit == "" {
-		limit = q.Get("top")
-	}
-	if limit != "" {
+	if limit := q.Get("limit"); limit != "" {
 		n, err := strconv.Atoi(limit)
 		if err != nil || n < 1 {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", limit))
@@ -750,9 +772,9 @@ func (d *daemon) getVirusDB(w http.ResponseWriter, r *http.Request) {
 }
 
 // metricsView aggregates every counter the daemon keeps. It is the single
-// source for every metrics surface — /api/v1/metrics, the legacy /metrics
-// alias and /debug/vars all render this struct, so the sections (islands and
-// fleet included) cannot drift apart between spellings.
+// source for every metrics surface — /api/v1/metrics and /debug/vars both
+// render this struct, so the sections (islands and fleet included) cannot
+// drift apart between them.
 type metricsView struct {
 	Farm  farm.MetricsSnapshot `json:"farm"`
 	Cache farm.CacheStats      `json:"cache"`
@@ -830,21 +852,13 @@ func (d *daemon) handler() http.Handler {
 		}))
 	})
 	mux := http.NewServeMux()
-	// The canonical surface lives under /api/v1; both registers each
-	// endpoint's pre-versioning spelling as a thin alias — same handler,
-	// same responses — so existing clients and scripts keep working.
-	both := func(v1, legacy string, h http.HandlerFunc) {
-		mux.HandleFunc(v1, h)
-		mux.HandleFunc(legacy, h)
-	}
-	both("POST /api/v1/jobs", "POST /api/jobs", d.submitJob)
-	both("GET /api/v1/jobs", "GET /api/jobs", d.listJobs)
-	both("GET /api/v1/jobs/{id}", "GET /api/jobs/{id}", d.getJob)
-	both("GET /api/v1/jobs/{id}/wait", "GET /api/jobs/{id}/wait", d.waitJob)
-	both("POST /api/v1/jobs/{id}/cancel", "POST /api/jobs/{id}/cancel",
-		d.cancelJob)
-	both("GET /api/v1/virusdb", "GET /api/virusdb", d.getVirusDB)
-	both("GET /api/v1/metrics", "GET /metrics", d.getMetrics)
+	mux.HandleFunc("POST /api/v1/jobs", d.submitJob)
+	mux.HandleFunc("GET /api/v1/jobs", d.listJobs)
+	mux.HandleFunc("GET /api/v1/jobs/{id}", d.getJob)
+	mux.HandleFunc("GET /api/v1/jobs/{id}/wait", d.waitJob)
+	mux.HandleFunc("POST /api/v1/jobs/{id}/cancel", d.cancelJob)
+	mux.HandleFunc("GET /api/v1/virusdb", d.getVirusDB)
+	mux.HandleFunc("GET /api/v1/metrics", d.getMetrics)
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	// Live profiling of a running campaign: `go tool pprof
 	// http://host/debug/pprof/profile` diagnoses evaluation-path
@@ -914,6 +928,8 @@ func httpError(w http.ResponseWriter, status int, err error) {
 		code = "unauthorized"
 	case status == http.StatusNotFound:
 		code = "not_found"
+	case status == http.StatusRequestEntityTooLarge:
+		code = "too_large"
 	case status == http.StatusTooManyRequests:
 		code = "quota_exceeded"
 	case status == http.StatusServiceUnavailable:
@@ -997,9 +1013,9 @@ func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	budget := flag.Int("budget", 8, "global worker budget shared by all jobs")
 	dbPath := flag.String("db", "",
-		"shared virus database path (optional); legacy JSON files auto-migrate to the segmented store, keeping the original at <path>.legacy")
+		"shared virus database path (optional): a segmented store directory, created if missing; a pre-seglog single-file database is refused")
 	journalPath := flag.String("journal", "",
-		"job journal path: submissions survive restarts and resume from their last checkpoint (optional); legacy files auto-migrate like -db")
+		"job journal path: submissions survive restarts and resume from their last checkpoint (optional); a store directory like -db, and a pre-seglog single-file journal is refused")
 	drain := flag.Duration("drain", 30*time.Second,
 		"graceful-shutdown deadline for running jobs to checkpoint and exit")
 	rows := flag.Int("rows", 16, "default rows per bank of simulated DIMMs")
@@ -1091,7 +1107,8 @@ func main() {
 		os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	hs := &http.Server{Addr: *addr, Handler: d.handler()}
+	hs := &http.Server{Addr: *addr, Handler: d.handler(),
+		ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		<-ctx.Done()
 		log.Print("dstressd: draining jobs")

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -58,7 +60,7 @@ func startDaemonProc(t *testing.T, addr, journal string) *exec.Cmd {
 	}
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + addr + "/api/jobs")
+		resp, err := http.Get("http://" + addr + "/api/v1/jobs")
 		if err == nil {
 			resp.Body.Close()
 			return cmd
@@ -98,7 +100,7 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 	proc1 := startDaemonProc(t, addr1, journal)
 	base1 := "http://" + addr1
 
-	if code := postJSON(t, base1+"/api/jobs", req, nil); code != http.StatusAccepted {
+	if code := postJSON(t, base1+"/api/v1/jobs", req, nil); code != http.StatusAccepted {
 		proc1.Process.Kill()
 		t.Fatalf("submit: HTTP %d", code)
 	}
@@ -111,7 +113,7 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 			t.Fatal("job never reached generation 2")
 		}
 		var view jobView
-		getJSON(t, base1+"/api/jobs/1", &view)
+		getJSON(t, base1+"/api/v1/jobs/1", &view)
 		if view.State.String() == "done" {
 			proc1.Process.Kill()
 			t.Fatal("job finished before the kill; slow the search down")
@@ -136,7 +138,7 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 	base2 := "http://" + addr2
 
 	var jobs []jobView
-	if code := getJSON(t, base2+"/api/jobs", &jobs); code != http.StatusOK {
+	if code := getJSON(t, base2+"/api/v1/jobs", &jobs); code != http.StatusOK {
 		t.Fatalf("list after restart: HTTP %d", code)
 	}
 	if len(jobs) != 1 {
@@ -144,7 +146,7 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 	}
 
 	var resumed jobView
-	if code := getJSON(t, base2+"/api/jobs/1/wait", &resumed); code != http.StatusOK {
+	if code := getJSON(t, base2+"/api/v1/jobs/1/wait", &resumed); code != http.StatusOK {
 		t.Fatalf("wait: HTTP %d", code)
 	}
 	if resumed.State.String() != "done" || resumed.Result == nil {
@@ -165,7 +167,7 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 	var status struct {
 		ID int `json:"id"`
 	}
-	if code := postJSON(t, ts.URL+"/api/jobs", req, &status); code != http.StatusAccepted {
+	if code := postJSON(t, ts.URL+"/api/v1/jobs", req, &status); code != http.StatusAccepted {
 		t.Fatalf("reference submit: HTTP %d", code)
 	}
 	ref := waitJob(t, ts, fmt.Sprint(status.ID))
@@ -176,5 +178,43 @@ func TestDaemonKillResumeIntegration(t *testing.T) {
 	if *resumed.Result != *ref.Result {
 		t.Fatalf("kill+resume diverged from the uninterrupted run:\n got %+v\nwant %+v",
 			*resumed.Result, *ref.Result)
+	}
+}
+
+// TestSingleFileStoreRefusedAtStart: pointed at a store path holding a
+// pre-seglog single-file database or journal, the daemon exits non-zero
+// with an error naming the path and the old format, and leaves the file
+// byte-for-byte as it was.
+func TestSingleFileStoreRefusedAtStart(t *testing.T) {
+	cases := []struct {
+		flag string
+		data string
+	}{
+		{"-db", `[{"experiment":"e","bits":"01","fitness":1}]`},
+		{"-journal", "dstress-checkpoint v1\n"},
+	}
+	for _, c := range cases {
+		path := filepath.Join(t.TempDir(), "store")
+		if err := os.WriteFile(path, []byte(c.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0],
+			"-addr", freeAddr(t), c.flag, path)
+		cmd.Env = append(os.Environ(), "DSTRESSD_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		timedOut := ctx.Err() != nil
+		cancel()
+		if err == nil || timedOut {
+			t.Fatalf("%s: daemon did not refuse the file (err=%v)\n%s", c.flag, err, out)
+		}
+		if !strings.Contains(string(out), path) ||
+			!strings.Contains(string(out), "single-file format") {
+			t.Fatalf("%s: exit message does not name the path and the old format:\n%s",
+				c.flag, out)
+		}
+		if after, err := os.ReadFile(path); err != nil || string(after) != c.data {
+			t.Fatalf("%s: the refused file changed (err=%v)", c.flag, err)
+		}
 	}
 }

@@ -69,9 +69,10 @@ func doAuthed(t *testing.T, method, url, token string, body []byte, out any) int
 	return resp.StatusCode
 }
 
-// TestAuthMiddleware is the auth matrix: every API spelling requires a known
-// token, failures carry the unauthorized envelope, the debug surface stays
-// open, and the tenant a token resolves to lands in the submitted job.
+// TestAuthMiddleware is the auth matrix: every /api/ path — routed or not —
+// requires a known token, failures carry the unauthorized envelope, the
+// debug surface stays open, and the tenant a token resolves to lands in the
+// submitted job.
 func TestAuthMiddleware(t *testing.T) {
 	_, ts := authedDaemon(t, 4)
 
@@ -80,8 +81,7 @@ func TestAuthMiddleware(t *testing.T) {
 	}{
 		{"no token", "", ts.URL + "/api/v1/jobs"},
 		{"unknown token", "nope", ts.URL + "/api/v1/jobs"},
-		{"legacy alias", "", ts.URL + "/api/jobs"},
-		{"metrics alias", "", ts.URL + "/metrics"},
+		{"unrouted /api path", "", ts.URL + "/api/jobs"},
 		{"fleet verb", "", ts.URL + "/api/v1/fleet/join"},
 	}
 	for _, tc := range deny {

@@ -12,8 +12,8 @@
 // salvage mode instead (the readable records are kept, the loss is reported
 // on stderr) so the compaction can reclaim the dropped space.
 //
-// A database in the pre-seglog single-file format is migrated to the
-// segmented store on open (the original bytes are kept at <path>.legacy).
+// The database is a segmented store directory (internal/seglog). A file in
+// the pre-seglog single-file format is refused and left untouched.
 package main
 
 import (
@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	dbPath := flag.String("db", "viruses.json", "virus database file")
+	dbPath := flag.String("db", "viruses.json", "virus database (a segmented store directory)")
 	experiment := flag.String("experiment", "", "experiment to dump")
 	top := flag.Int("top", 10, "number of strongest viruses to show")
 	compact := flag.Bool("compact", false,

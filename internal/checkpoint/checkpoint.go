@@ -56,13 +56,6 @@ var (
 	ErrNoRecord = errors.New("checkpoint: no intact record")
 )
 
-// IsEmpty reports whether err means "nothing checkpointed yet" — the file
-// does not exist or holds no intact record. Callers starting fresh treat
-// this as fine; every other load error is real damage to surface.
-func IsEmpty(err error) bool {
-	return errors.Is(err, os.ErrNotExist) || errors.Is(err, ErrNoRecord)
-}
-
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 type record struct {
@@ -189,33 +182,16 @@ func LoadInto(path string, v any) (LoadResult, error) {
 	return res, nil
 }
 
-// LoadBytes is Load over an in-memory copy of a checkpoint file — used when
-// the bytes come from somewhere other than the live path, e.g. a legacy file
-// being migrated. The name passed is only for error messages.
-func LoadBytes(data []byte, name string) (LoadResult, error) {
-	recs, salvaged, err := parseRecords(data, name)
-	if err != nil {
-		return LoadResult{}, err
-	}
-	last := recs[len(recs)-1]
-	return LoadResult{Payload: last.payload, Seq: last.seq, Salvaged: salvaged}, nil
-}
-
 // readRecords parses the file, returning every intact record in order plus
-// the number of damaged lines dropped.
+// the number of damaged lines dropped. Scanning stops at the first damaged
+// line: anything after it is unordered debris from a torn write, and
+// trusting a "valid-looking" record beyond the damage could resurrect state
+// newer than what the writer actually committed.
 func readRecords(path string) ([]record, int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("checkpoint: %w", err)
 	}
-	return parseRecords(data, path)
-}
-
-// parseRecords scans checkpoint bytes. Scanning stops at the first damaged
-// line: anything after it is unordered debris from a torn write, and
-// trusting a "valid-looking" record beyond the damage could resurrect state
-// newer than what the writer actually committed.
-func parseRecords(data []byte, path string) ([]record, int, error) {
 	lines := strings.Split(string(data), "\n")
 	if len(lines) > 0 && lines[len(lines)-1] == "" {
 		lines = lines[:len(lines)-1] // trailing newline of a complete file

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"dstress/internal/checkpoint"
 	"dstress/internal/seglog"
 )
 
@@ -35,14 +34,6 @@ type JournalEntry struct {
 	// State is informational: "pending", "running", or "interrupted".
 	State     string    `json:"state"`
 	Submitted time.Time `json:"submitted"`
-}
-
-// journalDoc is the pre-seglog persisted form — the whole journal as one
-// checkpoint record. It survives only as the migration source: a legacy
-// journal file found at the path is converted to the segmented store on
-// open.
-type journalDoc struct {
-	Jobs []JournalEntry `json:"jobs"`
 }
 
 // journalOp is one persisted delta. The journal used to rewrite the whole
@@ -94,36 +85,10 @@ type Journal struct {
 // OpenJournal opens (or creates) the journal at path and sets aside any
 // entries a previous process left behind — see Recovered. The new process
 // starts with an empty live set; re-queueing recovered jobs re-journals
-// them under fresh ids. A journal in the pre-seglog single-file format is
-// migrated to the segmented store in place (the original bytes are kept at
-// <path>.legacy), and the store is compacted on open so recovered entries
+// them under fresh ids. The store is compacted on open so recovered entries
 // are rewritten in their interrupted state as the log's canonical contents.
+// A journal in the pre-seglog single-file format is refused, not converted.
 func OpenJournal(path string) (*Journal, error) {
-	convert := func(data []byte) ([][]byte, error) {
-		res, err := checkpoint.LoadBytes(data, path)
-		if err != nil {
-			if checkpoint.IsEmpty(err) {
-				return nil, nil
-			}
-			return nil, fmt.Errorf("farm: journal: %w", err)
-		}
-		var doc journalDoc
-		if err := json.Unmarshal(res.Payload, &doc); err != nil {
-			return nil, fmt.Errorf("farm: journal: %s: %w", path, err)
-		}
-		payloads := make([][]byte, 0, len(doc.Jobs))
-		for i := range doc.Jobs {
-			p, err := json.Marshal(journalOp{Op: "add", Entry: &doc.Jobs[i]})
-			if err != nil {
-				return nil, fmt.Errorf("farm: journal: %w", err)
-			}
-			payloads = append(payloads, p)
-		}
-		return payloads, nil
-	}
-	if err := seglog.Migrate(path, journalStoreOptions, convert); err != nil {
-		return nil, fmt.Errorf("farm: journal: %w", err)
-	}
 	st, res, err := seglog.Open(path, journalStoreOptions)
 	if err != nil {
 		return nil, fmt.Errorf("farm: journal: %w", err)

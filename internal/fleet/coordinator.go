@@ -484,7 +484,7 @@ type WorkerStatus struct {
 	LastSeenS   float64 `json:"last_seen_s"`
 }
 
-// Status aggregates the fleet counters for /metrics.
+// Status aggregates the fleet counters for /api/v1/metrics.
 type Status struct {
 	Workers []WorkerStatus `json:"workers"`
 

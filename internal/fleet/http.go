@@ -11,16 +11,17 @@ import (
 // open indefinitely; workers simply re-poll.
 const maxLeaseWait = 25 * time.Second
 
-// Mount registers the fleet protocol under /api/v1/fleet/ on mux, keeping
-// the historical unversioned /api/fleet/ spelling as an alias so workers of
-// either vintage can join.
+// maxRequestBody bounds every protocol request body. The largest a worker
+// sends is the report of a shard holding a whole generation, under 50 bytes
+// per result: 8 MiB covers a population of more than 150,000 genomes.
+const maxRequestBody = 8 << 20
+
+// Mount registers the fleet protocol under /api/v1/fleet/ on mux.
 func (c *Coordinator) Mount(mux *http.ServeMux) {
-	for _, prefix := range []string{"/api/v1/fleet", "/api/fleet"} {
-		mux.HandleFunc("POST "+prefix+"/join", c.handleJoin)
-		mux.HandleFunc("POST "+prefix+"/heartbeat", c.handleHeartbeat)
-		mux.HandleFunc("POST "+prefix+"/lease", c.handleLease)
-		mux.HandleFunc("POST "+prefix+"/report", c.handleReport)
-	}
+	mux.HandleFunc("POST /api/v1/fleet/join", c.handleJoin)
+	mux.HandleFunc("POST /api/v1/fleet/heartbeat", c.handleHeartbeat)
+	mux.HandleFunc("POST /api/v1/fleet/lease", c.handleLease)
+	mux.HandleFunc("POST /api/v1/fleet/report", c.handleReport)
 }
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -98,9 +99,13 @@ func writeError(w http.ResponseWriter, status int, code string, err error) {
 }
 
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err)
+	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
+	if err := json.NewDecoder(body).Decode(v); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "too_large", err)
+		} else {
+			writeError(w, http.StatusBadRequest, "bad_request", err)
+		}
 		return false
 	}
 	return true

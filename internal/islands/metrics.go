@@ -7,7 +7,7 @@ import (
 )
 
 // Metrics accumulates island-search telemetry across jobs — the daemon's
-// /metrics "islands" section. All methods are safe for concurrent use.
+// /api/v1/metrics "islands" section. All methods are safe for concurrent use.
 type Metrics struct {
 	mu          sync.Mutex
 	searches    int64

@@ -163,7 +163,11 @@ func Open(dir string, opts Options) (*Store, *OpenResult, error) {
 		opts.RotateBytes = DefaultRotateBytes
 	}
 	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
-		return nil, nil, fmt.Errorf("seglog: %s exists and is not a directory", dir)
+		// Builds before the segmented store kept virusdb and the job journal
+		// in one file at this path. That format is refused, never converted:
+		// the file is left exactly as found.
+		return nil, nil, fmt.Errorf("seglog: %s is a regular file, not a store "+
+			"directory (the pre-seglog single-file format is no longer read)", dir)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("seglog: %w", err)

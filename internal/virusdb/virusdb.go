@@ -6,14 +6,12 @@
 // Storage is a seglog store (see internal/seglog): one CRC-32C-framed append
 // per record, so insert cost is independent of database size. Earlier
 // versions kept a single JSON array and re-marshalled and re-fsynced all of
-// it on every insert — O(N²) cumulative write cost over a campaign. A legacy
-// JSON-array file found at the database path is migrated into a store
-// directory transparently on open (the original bytes are kept at
-// <path>.legacy).
+// it on every insert — O(N²) cumulative write cost over a campaign. Such a
+// single JSON-array file found at the database path is refused on open and
+// left untouched.
 package virusdb
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -84,12 +82,11 @@ type DB struct {
 var storeOptions = seglog.Options{SyncEvery: 1}
 
 // Open loads the database at path, creating an empty one if nothing exists
-// there. A legacy JSON-array file is migrated to the segmented store in
-// place; one that does not parse — e.g. truncated by a crash of a writer
-// without atomic saves — is an error, and OpenSalvage recovers the readable
+// there. A damaged store is an error, and OpenSalvage recovers the readable
 // prefix instead. (A torn tail on the store's own active segment is not
 // damage: it is the unacknowledged in-flight record of a crashed writer,
-// and is truncated silently.)
+// and is truncated silently.) A regular file at path — the pre-seglog
+// single-file format — is refused by both.
 func Open(path string) (*DB, error) {
 	db, _, err := open(path, false)
 	return db, err
@@ -106,26 +103,6 @@ func open(path string, salvage bool) (*DB, int, error) {
 	if path == "" {
 		return nil, 0, fmt.Errorf("virusdb: empty path")
 	}
-	legacyDropped := 0
-	convert := func(data []byte) ([][]byte, error) {
-		recs, dropped, err := parseLegacy(path, data, salvage)
-		if err != nil {
-			return nil, err
-		}
-		legacyDropped = dropped
-		payloads := make([][]byte, 0, len(recs))
-		for _, r := range recs {
-			p, err := json.Marshal(r)
-			if err != nil {
-				return nil, fmt.Errorf("virusdb: %w", err)
-			}
-			payloads = append(payloads, p)
-		}
-		return payloads, nil
-	}
-	if err := seglog.Migrate(path, storeOptions, convert); err != nil {
-		return nil, 0, err
-	}
 	opts := storeOptions
 	opts.Salvage = salvage
 	st, res, err := seglog.Open(path, opts)
@@ -133,7 +110,7 @@ func open(path string, salvage bool) (*DB, int, error) {
 		return nil, 0, fmt.Errorf("virusdb: %w", err)
 	}
 	db := &DB{path: path, log: st, records: make([]Record, 0, len(res.Payloads))}
-	dropped := legacyDropped + res.Stats.DroppedFrames
+	dropped := res.Stats.DroppedFrames
 	for _, p := range res.Payloads {
 		var r Record
 		if err := json.Unmarshal(p, &r); err != nil {
@@ -147,76 +124,6 @@ func open(path string, salvage bool) (*DB, int, error) {
 		db.records = append(db.records, r)
 	}
 	return db, dropped, nil
-}
-
-// parseLegacy decodes a legacy JSON-array database. In salvage mode it keeps
-// the valid prefix and reports how many visible records were lost; in strict
-// mode any damage is an error.
-func parseLegacy(path string, data []byte, salvage bool) ([]Record, int, error) {
-	if len(bytes.TrimSpace(data)) == 0 {
-		return nil, 0, nil
-	}
-	var recs []Record
-	if err := json.Unmarshal(data, &recs); err == nil {
-		return recs, 0, nil
-	} else if !salvage {
-		return nil, 0, fmt.Errorf("virusdb: corrupt database %s: %w", path, err)
-	}
-	recs, ok := salvageRecords(data)
-	if !ok {
-		return nil, 0, fmt.Errorf("virusdb: corrupt database %s: not a JSON array", path)
-	}
-	dropped := countLegacyRecords(data) - len(recs)
-	if dropped < 0 {
-		dropped = 0
-	}
-	return recs, dropped, nil
-}
-
-// salvageRecords decodes complete records from the front of a (possibly
-// truncated) JSON array. The second result is false when data does not even
-// start with an array.
-func salvageRecords(data []byte) ([]Record, bool) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	tok, err := dec.Token()
-	if err != nil || tok != json.Delim('[') {
-		return nil, false
-	}
-	var out []Record
-	for dec.More() {
-		var r Record
-		if err := dec.Decode(&r); err != nil {
-			break
-		}
-		if r.Validate() != nil {
-			break
-		}
-		out = append(out, r)
-	}
-	return out, true
-}
-
-// countLegacyRecords counts the records visible in a (possibly truncated)
-// legacy array by tokenizing it: every element that decodes is one record,
-// plus one for a partial element chopped by the truncation. Substring
-// counting (the old estimate) over-counted whenever an experiment *name* was
-// itself the string "experiment", because its serialized value then
-// contained the `"experiment"` key bytes a second time.
-func countLegacyRecords(data []byte) int {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	tok, err := dec.Token()
-	if err != nil || tok != json.Delim('[') {
-		return 0
-	}
-	n := 0
-	for dec.More() {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			return n + 1 // a partial trailing record is visible in the bytes
-		}
-		n++
-	}
-	return n
 }
 
 // Path returns the database location.

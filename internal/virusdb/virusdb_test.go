@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"dstress/internal/checkpoint"
+	"dstress/internal/farm"
 	"dstress/internal/seglog"
 )
 
@@ -26,20 +28,6 @@ func tempDB(t *testing.T) *DB {
 func rec(exp string, fitness float64) Record {
 	return Record{Experiment: exp, Bits: "1100", Fitness: fitness,
 		MeanCE: fitness, TempC: 55, TREFP: 2.283, VDD: 1.428}
-}
-
-// writeLegacy writes records in the pre-seglog single-file format: one
-// indented JSON array, exactly what the old save() produced.
-func writeLegacy(t *testing.T, path string, recs []Record) []byte {
-	t.Helper()
-	data, err := json.MarshalIndent(recs, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 func TestOpenMissingFile(t *testing.T) {
@@ -145,98 +133,67 @@ func TestIntChromosomeRecord(t *testing.T) {
 	}
 }
 
+// TestCorruptFileRejected: a store path holding a file in the pre-seglog
+// single-file format — the JSON-array virus database or the whole-document
+// checkpoint journal — is refused by every opener with an error naming the
+// path and the old format. The file is left byte-for-byte as found, and no
+// staging or backup file appears beside it.
 func TestCorruptFileRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path); err == nil {
-		t.Fatal("corrupt database accepted")
-	}
-	// The rejected legacy file is left exactly where it was.
-	if fi, err := os.Stat(path); err != nil || fi.IsDir() {
-		t.Fatal("rejected legacy file was disturbed")
-	}
-}
-
-// writeTruncatedLegacy writes a legacy-format database with n records and
-// chops the file after frac of its bytes, simulating a crash mid-write of a
-// non-atomic writer. exp names the experiments (cycled over two suffixes).
-func writeTruncatedLegacy(t *testing.T, n int, frac float64, exp func(i int) string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "trunc.json")
-	recs := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		recs = append(recs, rec(exp(i), float64(i)))
-	}
-	data := writeLegacy(t, path, recs)
-	cut := int(float64(len(data)) * frac)
-	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestOpenSalvageTruncatedLegacy(t *testing.T) {
-	for _, frac := range []float64{0.3, 0.6, 0.9} {
-		path := writeTruncatedLegacy(t, 8, frac,
-			func(i int) string { return fmt.Sprintf("e%d", i%2) })
-		if _, err := Open(path); err == nil {
-			t.Fatalf("frac %.1f: Open accepted a truncated file", frac)
-		}
-		db, dropped, err := OpenSalvage(path)
-		if err != nil {
-			t.Fatalf("frac %.1f: salvage failed: %v", frac, err)
-		}
-		// dropped counts only what is visible in the truncated bytes, so
-		// salvaged+dropped is at most the original count and at least one
-		// trailing record must have been lost to the cut.
-		if db.Len() == 0 || db.Len() >= 8 {
-			t.Fatalf("frac %.1f: salvaged %d of 8", frac, db.Len())
-		}
-		if dropped < 1 || db.Len()+dropped > 8 {
-			t.Fatalf("frac %.1f: salvaged %d, dropped %d", frac,
-				db.Len(), dropped)
-		}
-		// The salvaged prefix must be the original records, in order, and
-		// the database must be fully usable: append and reload cleanly.
-		for i, r := range db.Records("e0") {
-			if r.Fitness != float64(2*(len(db.Records("e0"))-1-i)) &&
-				r.Experiment != "e0" {
-				t.Fatalf("frac %.1f: wrong salvaged record %+v", frac, r)
-			}
-		}
-		if err := db.Append(rec("after", 99)); err != nil {
-			t.Fatalf("frac %.1f: append after salvage: %v", frac, err)
-		}
-		db.Close()
-		re, err := Open(path)
-		if err != nil {
-			t.Fatalf("frac %.1f: reload after salvage: %v", frac, err)
-		}
-		if best, ok := re.Best("after"); !ok || best.Fitness != 99 {
-			t.Fatalf("frac %.1f: repaired file lost the new record", frac)
-		}
-	}
-}
-
-// TestSalvageCountSelfNamedExperiment pins the dropped-count fix: an
-// experiment literally named "experiment" serializes its value as the same
-// bytes as the key, which the old substring estimate counted as a second
-// record. Tokenizing counts each array element once.
-func TestSalvageCountSelfNamedExperiment(t *testing.T) {
-	path := writeTruncatedLegacy(t, 4, 0.6,
-		func(i int) string { return "experiment" })
-	db, dropped, err := OpenSalvage(path)
+	dir := t.TempDir()
+	// The old virusdb save(): one indented JSON array of every record.
+	array := filepath.Join(dir, "viruses.json")
+	data, err := json.MarshalIndent([]Record{rec("a", 1), rec("b", 2)}, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Len() == 0 || db.Len() >= 4 {
-		t.Fatalf("salvaged %d of 4", db.Len())
+	if err := os.WriteFile(array, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if dropped < 1 || db.Len()+dropped > 4 {
-		t.Fatalf("salvaged %d, dropped %d: count inflated by the "+
-			"experiment name", db.Len(), dropped)
+	// The old journal: the whole job list as one checkpoint record.
+	journal := filepath.Join(dir, "jobs.journal")
+	cf, err := checkpoint.Open(journal, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cf.Save(map[string][]farm.JournalEntry{"jobs": {{ID: 1, Name: "j",
+		Workers: 1, Spec: json.RawMessage(`{"template":"data64"}`)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	openers := []struct {
+		name string
+		open func(path string) error
+	}{
+		{"virusdb.Open", func(p string) error { _, err := Open(p); return err }},
+		{"virusdb.OpenSalvage", func(p string) error { _, _, err := OpenSalvage(p); return err }},
+		{"farm.OpenJournal", func(p string) error { _, err := farm.OpenJournal(p); return err }},
+	}
+	for _, path := range []string{array, journal} {
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range openers {
+			err := o.open(path)
+			if err == nil {
+				t.Fatalf("%s accepted %s", o.name, path)
+			}
+			if msg := err.Error(); !strings.Contains(msg, path) ||
+				!strings.Contains(msg, "single-file format") {
+				t.Errorf("%s(%s): error %q must name the path and the old format",
+					o.name, filepath.Base(path), msg)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil || !bytes.Equal(after, before) {
+				t.Fatalf("%s changed %s (err=%v)", o.name, path, err)
+			}
+			for _, suffix := range []string{".migrate", ".legacy"} {
+				if _, err := os.Stat(path + suffix); !os.IsNotExist(err) {
+					t.Fatalf("%s left %s%s behind", o.name, filepath.Base(path), suffix)
+				}
+			}
+		}
 	}
 }
 
@@ -341,63 +298,6 @@ func TestOpenSalvageHopeless(t *testing.T) {
 	}
 	if _, _, err := OpenSalvage(path); err == nil {
 		t.Fatal("salvage invented records from junk")
-	}
-}
-
-// TestMigrationLosslessIdempotent: opening a legacy JSON-array database
-// converts it to the segmented store with every record intact, keeps the
-// original bytes at <path>.legacy, and re-opening converges (no re-migration,
-// no duplication).
-func TestMigrationLosslessIdempotent(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "viruses.json")
-	recs := []Record{rec("a", 1), rec("b", 2), rec("a", 3)}
-	original := writeLegacy(t, path, recs)
-
-	db, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() != 3 {
-		t.Fatalf("migrated %d of 3 records", db.Len())
-	}
-	if got := db.Records("a"); len(got) != 2 || got[0].Fitness != 3 {
-		t.Fatalf("migrated records wrong: %+v", got)
-	}
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		t.Fatal("path is not a store directory after migration")
-	}
-	bak, err := os.ReadFile(path + ".legacy")
-	if err != nil || !bytes.Equal(bak, original) {
-		t.Fatalf("legacy bytes not preserved: err=%v", err)
-	}
-	if err := db.Append(rec("c", 9)); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-
-	for i := 0; i < 2; i++ { // idempotent across repeated opens
-		re, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re.Len() != 4 {
-			t.Fatalf("reopen %d: %d records, want 4", i, re.Len())
-		}
-		re.Close()
-	}
-}
-
-func TestMigrationEmptyLegacyFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.json")
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() != 0 {
-		t.Fatalf("empty legacy file produced %d records", db.Len())
 	}
 }
 
