@@ -40,10 +40,12 @@ check:
 	$(GO) test -race -timeout 30m ./...
 
 # The determinism-v2 differential matrix under the race detector: stream
-# purity and key independence (xrand), kernel-vs-reference bit-identity and
-# order independence (dram), serial/farm-1-2-4-8/kill-and-resume agreement
-# (core) and fleet 0/1/2/4-node agreement (dstressd). The v1 suites pin the
-# old contract separately and must not move.
+# purity and key independence (xrand), bit-identity of the one v2 kernel
+# (per-genome Run is a batch of one) against the plan-free v2 reference
+# kept in the tests, order independence and version routing (dram),
+# serial/farm-1-2-4-8/kill-and-resume agreement (core) and fleet
+# 0/1/2/4-node agreement (dstressd). The v1 suites pin the old contract
+# separately and must not move.
 detv2-test:
 	$(GO) test -race -run 'DetV2' \
 		./internal/xrand ./internal/dram ./internal/core ./cmd/dstressd
@@ -73,9 +75,9 @@ store-test:
 		./internal/seglog ./internal/virusdb ./internal/farm
 	$(GO) test -race -count 1 ./internal/seglog
 
-# The population-batched evaluation differential matrix: batch-vs-serial
-# bit-identity at the kernel (internal/dram, including the v1 rejection and
-# steady-state allocation budget), chunked-vs-per-task farm dispatch at
+# The population-batched evaluation differential matrix: spliced batches
+# against batches of one (full compiles) at the kernel (internal/dram,
+# including the v1 rejection and steady-state allocation budget), chunked-vs-per-task farm dispatch at
 # 1/2/4/8 workers plus a whole chunked search against a per-task reference
 # (internal/core), chunked fleet workers and context-digest elision
 # (internal/fleet), and fleet 0/1/2-node agreement at the daemon surface
@@ -172,11 +174,13 @@ experiments:
 experiments-full:
 	$(GO) run ./cmd/experiments -ext -markdown results.md
 
-# Short fuzzing pass over the two parsers and the interpreter.
+# Short fuzzing pass over the two parsers, the interpreter and the seglog
+# segment decoder.
 fuzz:
 	$(GO) test -fuzz=FuzzParseStmts -fuzztime=30s ./internal/minicc
 	$(GO) test -fuzz=FuzzInterpreter -fuzztime=30s ./internal/minicc
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/vpl
+	$(GO) test -fuzz=FuzzParseSegment -fuzztime=30s ./internal/seglog
 
 # Go line counts, non-test and test, over the module — the size the design
 # aims track next to the benchmark numbers. perfbench/ (its own module) and

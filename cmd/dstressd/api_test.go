@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -65,6 +66,14 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 			`{"template":"nope"}`, 400, "bad_request"},
 		{"submit oversized", tsNoDB.URL, "POST", "/api/v1/jobs", bigSubmit,
 			413, "too_large"},
+		{"submit generations over bound", tsNoDB.URL, "POST", "/api/v1/jobs",
+			fmt.Sprintf(`{"generations":%d}`, maxJobGenerations+1), 400, "bad_request"},
+		{"submit population over bound", tsNoDB.URL, "POST", "/api/v1/jobs",
+			fmt.Sprintf(`{"population":%d}`, maxJobPopulation+1), 400, "bad_request"},
+		{"submit rows over bound", tsNoDB.URL, "POST", "/api/v1/jobs",
+			fmt.Sprintf(`{"rows":%d}`, maxJobRows+1), 400, "bad_request"},
+		{"submit runs over bound", tsNoDB.URL, "POST", "/api/v1/jobs",
+			fmt.Sprintf(`{"runs":%d}`, maxJobRuns+1), 400, "bad_request"},
 		{"job bad id", tsNoDB.URL, "GET", "/api/v1/jobs/abc", "", 400, "bad_request"},
 		{"job unknown", tsNoDB.URL, "GET", "/api/v1/jobs/999", "", 404, "not_found"},
 		{"wait unknown", tsNoDB.URL, "GET", "/api/v1/jobs/999/wait", "", 404, "not_found"},

@@ -186,6 +186,40 @@ const maxPriority = 9
 // the daemon buffer an unbounded body.
 const maxSubmitBody = 64 << 10
 
+// Upper bounds on a submission's search dimensions. Quotas cap a tenant's
+// workers, not the memory one job takes, so without these one request (a
+// huge rows, population or runs) could exhaust the daemon for every tenant.
+// Each is at least ten times the largest value any in-repo client sends:
+// generations 10000 and rows 128 (the cancel tests' effectively-unbounded
+// search), population 16 (cmd/loadgen's held job), runs 16 (the fleet and
+// restart tests). Journal recovery skips the check, as it skips quotas: the
+// job was admitted once already.
+const (
+	maxJobGenerations = 100000
+	maxJobPopulation  = 1024
+	maxJobRows        = 2048
+	maxJobRuns        = 1000
+)
+
+// checkJobBounds rejects a submission whose search dimensions exceed the
+// daemon's bounds. Zero and negative values take defaults in prepare.
+func checkJobBounds(req jobRequest) error {
+	for _, b := range []struct {
+		field    string
+		val, max int
+	}{
+		{"generations", req.Generations, maxJobGenerations},
+		{"population", req.Population, maxJobPopulation},
+		{"rows", req.Rows, maxJobRows},
+		{"runs", req.Runs, maxJobRuns},
+	} {
+		if b.val > b.max {
+			return fmt.Errorf("%s = %d exceeds the bound %d", b.field, b.val, b.max)
+		}
+	}
+	return nil
+}
+
 // readHeaderTimeout bounds how long a client may take to send its request
 // headers, so stalled connections cannot pin server goroutines. There is
 // deliberately no WriteTimeout: /wait and its SSE stream stay open for the
@@ -384,6 +418,10 @@ func (d *daemon) submitJob(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		httpError(w, status, fmt.Errorf("bad request: %w", err))
+		return
+	}
+	if err := checkJobBounds(req); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	p, err := d.prepare(req)

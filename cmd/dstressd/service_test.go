@@ -314,7 +314,9 @@ func TestPriorityClamp(t *testing.T) {
 
 // TestQuotaRecoveryBypass: a journaled job admitted by a previous process is
 // re-queued on restart even when the tenant's quota was lowered in between —
-// recovery must never strand durable work behind the new caps.
+// recovery must never strand durable work behind the new caps. The same
+// holds for the submit-time dimension bounds: the second job's generation
+// count is past maxJobGenerations (data64 converges long before it).
 func TestQuotaRecoveryBypass(t *testing.T) {
 	dir := t.TempDir()
 	jl, err := farm.OpenJournal(filepath.Join(dir, "jobs.journal"))
@@ -325,14 +327,14 @@ func TestQuotaRecoveryBypass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _ := json.Marshal(jobRequest{
-		Template: "data64", Generations: 1, Population: 4, Runs: 1,
-	})
 	park := func(ctx context.Context, j *farm.Job) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	for _, name := range []string{"first", "second"} {
+	for name, gens := range map[string]int{"first": 1, "second": maxJobGenerations + 1} {
+		payload, _ := json.Marshal(jobRequest{
+			Template: "data64", Generations: gens, Population: 4, Runs: 1,
+		})
 		if _, err := d1.sched.SubmitDurable(farm.JobSpec{
 			Name: name, Tenant: "alpha", Workers: 1, Payload: payload,
 		}, park); err != nil {

@@ -103,28 +103,17 @@ func (f *Framework) EvaluatePlan(plan *RefreshPlan, fillWord uint64,
 	if err := f.Srv.SetTemperature(tempC); err != nil {
 		return Measurement{}, err
 	}
-	var ceSum, sdcSum float64
-	ues := 0
-	for i := 0; i < runs; i++ {
-		res, err := dev.Run(dram.RunParams{
-			TREFP:      plan.DefaultTREFP,
-			TREFPByRow: plan.PerRow,
-			TempC:      f.Srv.DIMMTemp(f.MCU),
-			VDD:        RelaxedVDD,
-			RNG:        f.RNG.Split(),
-		})
-		if err != nil {
-			return Measurement{}, err
-		}
-		ceSum += float64(res.CE)
-		sdcSum += float64(res.SDC)
-		if res.HasUE() {
-			ues++
-		}
+	res, err := dev.AverageRuns(dram.RunParams{
+		TREFP:      plan.DefaultTREFP,
+		TREFPByRow: plan.PerRow,
+		TempC:      f.Srv.DIMMTemp(f.MCU),
+		VDD:        RelaxedVDD,
+	}, runs, f.RNG)
+	if err != nil {
+		return Measurement{}, err
 	}
-	n := float64(runs)
-	return Measurement{MeanCE: ceSum / n, MeanSDC: sdcSum / n,
-		UEFrac: float64(ues) / n}, nil
+	return Measurement{MeanCE: res.MeanCE, MeanSDC: res.MeanSDC,
+		UEFrac: res.UEFrac}, nil
 }
 
 // PlanBins summarises a plan as (period, row-count) bins, strongest first —

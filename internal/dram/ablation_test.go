@@ -27,11 +27,11 @@ func ablatedDevice(t *testing.T, seed uint64, mod func(*Physics)) *Device {
 func meanCEOf(t *testing.T, d *Device, temp float64, runs int) float64 {
 	t.Helper()
 	p := RunParams{TREFP: relaxedTREFP, TempC: temp, VDD: relaxedVDD}
-	ce, _, _, err := d.AverageRuns(p, runs, xrand.New(1))
+	res, err := d.AverageRuns(p, runs, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ce
+	return res.MeanCE
 }
 
 // TestAblationVerticalCoupling: without the vertical discharged-neighbour
@@ -157,11 +157,11 @@ func TestAblationTauFloor(t *testing.T) {
 		})
 		fillUniform(d, 0x3333333333333333)
 		p := RunParams{TREFP: nominalTREFP, TempC: 60, VDD: nominalVDD}
-		ce, _, _, err := d.AverageRuns(p, 10, xrand.New(2))
+		res, err := d.AverageRuns(p, 10, xrand.New(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ce
+		return res.MeanCE
 	}
 	withFloor := nominalCE(DefaultPhysics().TauFloor)
 	without := nominalCE(0)
@@ -195,11 +195,11 @@ func TestAblationHammer(t *testing.T) {
 		}
 		p := RunParams{TREFP: relaxedTREFP, TempC: 60, VDD: relaxedVDD,
 			ActsPerWindow: acts}
-		ce, _, _, err := d.AverageRuns(p, 10, xrand.New(3))
+		res, err := d.AverageRuns(p, 10, xrand.New(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ce/base - 1
+		return res.MeanCE/base - 1
 	}
 	withHammer := gain(DefaultPhysics().HammerBeta)
 	without := gain(0)
@@ -229,11 +229,11 @@ func TestAblationClusterExternalCoupling(t *testing.T) {
 			}
 		}
 		p := RunParams{TREFP: relaxedTREFP, TempC: 62, VDD: relaxedVDD}
-		_, _, ueFrac, err := d.AverageRuns(p, 10, xrand.New(4))
+		res, err := d.AverageRuns(p, 10, xrand.New(4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ueFrac
+		return res.UEFrac
 	}
 	withExt := ueAt62(DefaultPhysics().ClusterExtAlpha)
 	without := ueAt62(0)

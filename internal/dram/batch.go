@@ -10,11 +10,12 @@ import (
 	"dstress/internal/xrand"
 )
 
-// Batch evaluation (DESIGN.md §13). A GA generation evaluates a population
-// of near-identical written states against one device under one set of
-// operating conditions. The per-genome path pays full setup per candidate:
-// plan compile, SoA derivation, conditions rebuild, scratch allocation. The
-// batch path amortizes all of it across the generation:
+// Batch evaluation (DESIGN.md §13) — the one determinism-v2 kernel. A GA
+// generation evaluates a population of near-identical written states
+// against one device under one set of operating conditions. Evaluated one
+// at a time, every candidate would pay full setup: plan compile, SoA
+// derivation, conditions rebuild, scratch allocation. The batch path
+// amortizes all of it across the generation:
 //
 //   - the run-invariant plan is compiled once, for the first item; every
 //     later item splices only the rows its Apply actually wrote (dilated
@@ -26,13 +27,16 @@ import (
 //   - all storage comes from a sync.Pool-backed session holding two
 //     ping-pong buffers, so steady-state generations allocate near zero.
 //
-// The contract is exact equivalence with the per-genome v2 path: for every
-// item, RunBatch/AverageRunsBatch produce bit-identical results to calling
+// Per-genome v2 evaluation (Run, AverageRuns) is a batch of one, so the
+// contract is that batching never changes a result: for every item,
+// RunBatch/AverageRunsBatch produce bit-identical results to calling
 // item.Apply followed by Run/AverageRuns with the same parameters and the
-// same RNG. The splice machinery shares compileRowInto with the full
-// compile and replays the same conditions math per row, so a spliced plan
-// is the plan a full compile would have produced. Under determinism v1 the
-// batch path is rejected: v1 pins the sequential draw order, which the
+// same RNG — that is, to a full compile of the item's state. The splice
+// machinery shares compileRowInto with the full compile and replays the
+// same conditions math per row, so a spliced plan is the plan a full
+// compile would have produced; the plan-free v2 reference in
+// run_v2_test.go pins the kernel itself. Under determinism v1 the batch
+// path is rejected: v1 pins the sequential draw order, which the
 // order-independent keyed accumulation below cannot honour.
 
 // BatchItem is one genome's slot in a batch evaluation.
@@ -56,9 +60,8 @@ type BatchItem struct {
 	RNG *xrand.Rand
 }
 
-// BatchResult is the averaged measurement of one batch item, mirroring the
-// aggregation the per-genome callers perform over AverageRuns and
-// RunResult.CEByRank.
+// BatchResult is one averaged measurement: what AverageRuns returns, and
+// what AverageRunsBatch returns per item.
 type BatchResult struct {
 	MeanCE  float64
 	MeanSDC float64
@@ -73,29 +76,53 @@ type BatchResult struct {
 // compiled plan plus the SoA constants and conditions tables the v2 kernel
 // reads. Successive items alternate buffers so a splice can copy the clean
 // row-spans of the previous item while writing its own.
+//
+// For a weak cell the v1 math
+//
+//	tau0·env[·vrtMult]/couplingDiv/hammerDiv  [·GainFactor]  <  trefp
+//
+// is reassociated into
+//
+//	(num·env)[·vrtMult]  <  trefp·hammerDiv
+//
+// with num = tau0·gainSel/couplingDiv folded at compile time (gainSel is
+// GainFactor for discharged cells, 1 otherwise). Clusters fold
+// clNum = tau0/clusterDiv and compare the jitter draw in the log domain.
+// This reassociation is exactly what the v1 contract forbids — it is legal
+// here because v2 promises only self-consistency.
 type batchBuf struct {
 	plan evalPlan
 
-	num   []float64 // per cell: tau0·gainSel/couplingDiv (== planV2.num)
+	num   []float64 // per cell: tau0·gainSel/couplingDiv
 	clNum []float64 // per cluster: tau0/clusterDiv
 	clKey []uint64  // per cluster: stream sub-key 2·src+1
 
 	hammer []float64 // per plan row: the item's hammer pressure
 
 	// Conditions tables in row-major order with per-row prefix offsets
-	// (len(rows)+1 after seal), mirroring v2cond's partition into static
-	// flips, bistable VRT cells and cluster log-thresholds.
+	// (len(rows)+1 after seal): everything derivable from (plan, operating
+	// conditions), so a run pays only for the draws that can change the
+	// outcome.
+	//
+	// stat* are the flips decided by the conditions alone: deterministic
+	// cells below threshold, plus VRT cells that fail in both states.
 	statLo   []int32
 	statCand []int32
 	statBit  []int32
 
+	// live* are the bistable VRT cells — exactly one of their two states
+	// fails, so one Bool draw per run decides. liveWhen is the draw value
+	// (true = slow state) under which the cell fails.
 	liveLo   []int32
 	liveKey  []uint64
 	liveCand []int32
 	liveBit  []int32
 	liveWhen []bool
 
-	clLBand   []float64 // parallel to plan.clusters
+	// Per-cluster log-domain jitter thresholds, parallel to plan.clusters:
+	// the cluster fails fully when its N(0, ClusterJitter) draw is below
+	// clLThresh, partially when below clLBand.
+	clLBand   []float64
 	clLThresh []float64
 }
 
@@ -167,17 +194,6 @@ func getBatchSession() *batchSession {
 }
 
 func putBatchSession(s *batchSession) { batchPool.Put(s) }
-
-// rowKeyLess is the canonical (rank, bank, row) order of sortRowKeys.
-func rowKeyLess(a, b RowKey) bool {
-	if a.Rank != b.Rank {
-		return a.Rank < b.Rank
-	}
-	if a.Bank != b.Bank {
-		return a.Bank < b.Bank
-	}
-	return a.Row < b.Row
-}
 
 // runBatchItems is the shared driver: validate, acquire a session, then for
 // each item apply its writes, bring the current buffer up to date (full
@@ -361,8 +377,7 @@ func (d *Device) spliceBatch(sess *batchSession, cur, prev *batchBuf,
 }
 
 // finishBatchRow derives the SoA constants and conditions of the freshly
-// compiled plan row ri. The formulas replicate compilePlanV2 and condFor
-// term for term — the bit-identity contract depends on it.
+// compiled plan row ri.
 func (d *Device) finishBatchRow(sess *batchSession, cur *batchBuf, ri int,
 	p RunParams, acts map[RowKey]float64) {
 	phys := d.cfg.Physics
@@ -388,8 +403,8 @@ func (d *Device) finishBatchRow(sess *batchSession, cur *batchBuf, ri int,
 	d.condRowInto(sess, cur, ri, hammer, p)
 }
 
-// condRowInto derives one row's conditions tables, mirroring condFor's
-// per-row body over the batch buffer's SoA slices.
+// condRowInto derives one row's conditions tables over the batch buffer's
+// SoA slices.
 func (d *Device) condRowInto(sess *batchSession, cur *batchBuf, ri int,
 	hammer float64, p RunParams) {
 	phys := d.cfg.Physics
@@ -418,6 +433,9 @@ func (d *Device) condRowInto(sess *batchSession, cur *batchBuf, ri int,
 		}
 		slowFails := a*cell.vrtMult < thresh
 		if fastFails == slowFails {
+			// Both VRT states agree: the cell is settled under these
+			// conditions and its Bool draw can never change the outcome.
+			// Keyed draws make skipping it safe.
 			if fastFails {
 				cur.statCand = append(cur.statCand, cell.cand)
 				cur.statBit = append(cur.statBit, cell.bit)
@@ -433,6 +451,9 @@ func (d *Device) condRowInto(sess *batchSession, cur *batchBuf, ri int,
 	clThresh := trefp * (1 + phys.ClusterHammerB*hammer)
 	band := clThresh * pl.partialBand
 	for i := row.clLo; i < row.clHi; i++ {
+		// tauA·exp(jit) < x  ⟺  jit < log(x/tauA): comparing the normal
+		// draw against cached log thresholds replaces an exp and two
+		// multiplies per cluster per run with two compares.
 		tauA := cur.clNum[i] * env
 		cur.clLBand = append(cur.clLBand, math.Log(band/tauA))
 		cur.clLThresh = append(cur.clLThresh, math.Log(clThresh/tauA))
@@ -511,11 +532,12 @@ func (d *Device) copyBatchRow(sess *batchSession, cur, prev *batchBuf,
 }
 
 // batchAccumulate runs the stochastic part of one run over the batch
-// buffer, filling its flip scratch. The addFlip sequence — statics, then
-// live VRT cells, then clusters, each in row-major table order — is exactly
-// v2Accumulate's, so the accumulated flips match the per-genome kernel's.
-func (d *Device) batchAccumulate(cur *batchBuf, rng *xrand.Rand) {
+// buffer, filling its flip scratch: static flips are replayed, bistable VRT
+// cells consume one Bool each, armed clusters one Norm each.
+func (d *Device) batchAccumulate(cur *batchBuf, rng *xrand.Rand) *evalPlan {
 	pl := &cur.plan
+	// One draw of the run's Rand keys everything below — the bridge that
+	// lets v2 ride the per-run split plumbing of farm, fleet and resume.
 	rs := xrand.StreamFrom(rng)
 	for j := range cur.statCand {
 		pl.addFlip(cur.statCand[j], int(cur.statBit[j]))
@@ -540,11 +562,14 @@ func (d *Device) batchAccumulate(cur *batchBuf, rng *xrand.Rand) {
 			pl.addFlip(k.cand, b)
 		}
 	}
+	return pl
 }
 
-// classifyCountsRank is classifyCounts plus per-rank CE counting into
-// perRank (indexed by rank), for callers that aggregate the per-rank CE
-// distribution without building the error log.
+// classifyCountsRank is classify for callers that never read the error log:
+// the same SECDED verdict per corrupted word, but only the counts — plus
+// per-rank CE counting into perRank (indexed by rank) — with no sorting and
+// no per-word allocation. Identical flips give identical counts, so the two
+// tails are interchangeable for averaging.
 func (pl *evalPlan) classifyCountsRank(perRank []int) (ce, sdc, ue int) {
 	for _, wi := range pl.touched {
 		bits := pl.flips[wi]
@@ -572,14 +597,15 @@ func (pl *evalPlan) classifyCountsRank(perRank []int) (ce, sdc, ue int) {
 // RunBatch evaluates every item with one full-result run each, applying the
 // items cumulatively in order. For each item the result — including the
 // error log — is bit-identical to item.Apply followed by Run with
-// RunParams.RNG = item.RNG under determinism v2.
+// RunParams.RNG = item.RNG under determinism v2. Flips accumulate
+// static-first rather than row-major, so each word's log is canonicalized
+// to ascending bit order — part of the v2 contract.
 func (d *Device) RunBatch(p RunParams, items []BatchItem) ([]RunResult, error) {
 	out := make([]RunResult, len(items))
 	err := d.runBatchItems(p, items,
 		func(sess *batchSession, i int, cur *batchBuf) error {
-			d.batchAccumulate(cur, items[i].RNG)
+			pl := d.batchAccumulate(cur, items[i].RNG)
 			evalMet.batchRuns.Add(1)
-			pl := &cur.plan
 			for _, wi := range pl.touched {
 				sort.Ints(pl.flips[wi])
 			}
@@ -607,40 +633,48 @@ func (d *Device) AverageRunsBatch(p RunParams, n int, items []BatchItem) ([]Batc
 			if cap(sess.perRank) < ranks {
 				sess.perRank = make([]int, ranks)
 			}
-			perRank := sess.perRank[:ranks]
-			clear(perRank)
-
-			var ceSum, sdcSum, ues int
-			rng := items[i].RNG
-			for r := 0; r < n; r++ {
-				d.batchAccumulate(cur, rng.Split())
-				evalMet.batchRuns.Add(1)
-				ce, sdc, ue := cur.plan.classifyCountsRank(perRank)
-				ceSum += ce
-				sdcSum += sdc
-				if ue > 0 {
-					ues++
-				}
-			}
-			res := BatchResult{
-				MeanCE:  float64(ceSum) / float64(n),
-				MeanSDC: float64(sdcSum) / float64(n),
-				UEFrac:  float64(ues) / float64(n),
-			}
-			for rank, ct := range perRank {
-				if ct == 0 {
-					continue
-				}
-				if res.CEByRank == nil {
-					res.CEByRank = make([]float64, ranks)
-				}
-				res.CEByRank[rank] = float64(ct) / float64(n)
-			}
-			out[i] = res
+			out[i] = averageRuns(n, items[i].RNG, sess.perRank[:ranks],
+				func(r *xrand.Rand) *evalPlan {
+					evalMet.batchRuns.Add(1)
+					return d.batchAccumulate(cur, r)
+				})
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// averageRuns is the one averaging tail of both contracts: n runs, each on a
+// fresh split of rng, each classified counts-only, averaged into a
+// BatchResult. run performs one run's accumulation and returns the plan
+// holding its flips. perRank is scratch of one slot per rank.
+func averageRuns(n int, rng *xrand.Rand, perRank []int,
+	run func(*xrand.Rand) *evalPlan) BatchResult {
+	clear(perRank)
+	var ceSum, sdcSum, ues int
+	for r := 0; r < n; r++ {
+		ce, sdc, ue := run(rng.Split()).classifyCountsRank(perRank)
+		ceSum += ce
+		sdcSum += sdc
+		if ue > 0 {
+			ues++
+		}
+	}
+	res := BatchResult{
+		MeanCE:  float64(ceSum) / float64(n),
+		MeanSDC: float64(sdcSum) / float64(n),
+		UEFrac:  float64(ues) / float64(n),
+	}
+	for rank, ct := range perRank {
+		if ct == 0 {
+			continue
+		}
+		if res.CEByRank == nil {
+			res.CEByRank = make([]float64, len(perRank))
+		}
+		res.CEByRank[rank] = float64(ct) / float64(n)
+	}
+	return res
 }

@@ -91,7 +91,7 @@ func BenchmarkAverageRuns(b *testing.B) {
 		p := benchParams()
 		b.Run(fmt.Sprintf("fast/rows=%d", rows), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := d.AverageRuns(p, 10, xrand.New(uint64(i))); err != nil {
+				if _, err := d.AverageRuns(p, 10, xrand.New(uint64(i))); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -105,7 +105,7 @@ func BenchmarkAverageRuns(b *testing.B) {
 			v2 := p
 			v2.Version = DeterminismV2
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := d.AverageRuns(v2, 10, xrand.New(uint64(i))); err != nil {
+				if _, err := d.AverageRuns(v2, 10, xrand.New(uint64(i))); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -22,7 +22,8 @@ import (
 // Contract (see DESIGN.md §8):
 //
 //   - Results are bit-identical to the reference path (runReference, kept in
-//     run.go and pinned by the differential suite in plan_test.go). That
+//     reference_test.go and run against Run by the differential suite in
+//     plan_test.go). That
 //     requires preserving the reference's exact floating-point operation
 //     order — cached values are the reference's intermediate *divisors*, not
 //     algebraically pre-divided retention times — and its exact RNG draw
@@ -122,16 +123,18 @@ func (d *Device) planFor() *evalPlan {
 // sortRowKeys orders keys by (rank, bank, row) — the canonical evaluation
 // order that fixes the RNG draw sequence and the error-log order.
 func sortRowKeys(keys []RowKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		if a.Bank != b.Bank {
-			return a.Bank < b.Bank
-		}
-		return a.Row < b.Row
-	})
+	sort.Slice(keys, func(i, j int) bool { return rowKeyLess(keys[i], keys[j]) })
+}
+
+// rowKeyLess is the canonical (rank, bank, row) order.
+func rowKeyLess(a, b RowKey) bool {
+	if a.Rank != b.Rank {
+		return a.Rank < b.Rank
+	}
+	if a.Bank != b.Bank {
+		return a.Bank < b.Bank
+	}
+	return a.Row < b.Row
 }
 
 // compilePlan resolves every defect in a written row against the current row

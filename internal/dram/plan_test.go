@@ -207,10 +207,11 @@ func TestAverageRunsMatchesReference(t *testing.T) {
 
 	for seed := uint64(0); seed < 3; seed++ {
 		wantCE, wantSDC, wantUE := refAverage(p, 10, xrand.New(seed))
-		gotCE, gotSDC, gotUE, err := d.AverageRuns(p, 10, xrand.New(seed))
+		got, err := d.AverageRuns(p, 10, xrand.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
+		gotCE, gotSDC, gotUE := got.MeanCE, got.MeanSDC, got.UEFrac
 		if gotCE != wantCE || gotSDC != wantSDC || gotUE != wantUE {
 			t.Fatalf("seed %d: AverageRuns (%v,%v,%v) != reference (%v,%v,%v)",
 				seed, gotCE, gotSDC, gotUE, wantCE, wantSDC, wantUE)

@@ -25,11 +25,6 @@ type RunParams struct {
 	// TREFPByRow overrides the refresh period per row, modelling
 	// retention-aware refresh schemes (RAIDR-style): rows binned as weak
 	// refresh faster than the rest. Rows absent from the map use TREFP.
-	//
-	// The override maps (TempByRank, TREFPByRow, ActsPerWindow) are
-	// identified by pointer in the v2 conditions cache: callers may reuse a
-	// map across runs or build a fresh one per run, but must not mutate one
-	// in place between runs of the same device.
 	TREFPByRow map[RowKey]float64
 
 	// ActsPerWindow gives, per row, the number of activations the row
@@ -46,8 +41,8 @@ type RunParams struct {
 	// Version selects the determinism contract the stochastic terms follow.
 	// The zero value means DeterminismV1 — the original sequential-draw
 	// contract every recorded experiment and v1 checkpoint is pinned to.
-	// DeterminismV2 evaluates on counter-based per-cell streams (run_v2.go):
-	// same physics, different (and order-independent) noise draws, so v1 and
+	// DeterminismV2 evaluates on counter-based per-cell streams (run_v2.go,
+	// kernel in batch.go): same physics, different (and order-independent) noise draws, so v1 and
 	// v2 results are each self-consistent but not comparable to one another.
 	Version DeterminismVersion
 }
@@ -90,23 +85,20 @@ type RunResult struct {
 // paper's framework kills a virus as soon as the OS sees a UE.
 func (r RunResult) HasUE() bool { return r.UE > 0 }
 
-type flipKey struct {
-	key RowKey
-	col int
-}
-
 // Run evaluates the device under the given conditions: every weak cell and
 // defect cluster located in a written row is tested against the retention
 // model, the resulting bit flips are grouped per word, and each corrupted
 // word is pushed through the SECDED decoder to classify it as CE, UE or SDC.
+// Errors are sorted by (rank, bank, row, word col).
 //
-// Run executes on the compiled evaluation plan (see plan.go): everything
-// that depends only on the written state is resolved once per state, and
-// each run applies only the operating conditions, the stochastic VRT/jitter
-// terms and the threshold compares. Results — including the RNG stream
-// consumed and the Errors log — are bit-identical to the retained reference
-// path (runReference), which the differential suite enforces. Errors are
-// sorted by (rank, bank, row, word col).
+// Under determinism v1, Run executes on the compiled evaluation plan (see
+// plan.go): everything that depends only on the written state is resolved
+// once per state, and each run applies only the operating conditions, the
+// stochastic VRT/jitter terms and the threshold compares. Results —
+// including the RNG stream consumed and the Errors log — are bit-identical
+// to the plan-free reference evaluation the differential suite keeps in
+// reference_test.go. Under v2, Run is a batch of one: RunBatch with a single
+// item that writes nothing.
 //
 // A Device is not safe for concurrent use; the farm gives every worker its
 // own clone.
@@ -114,10 +106,25 @@ func (d *Device) Run(p RunParams) (RunResult, error) {
 	if err := p.Validate(); err != nil {
 		return RunResult{}, err
 	}
-	evalMet.singleRuns.Add(1)
 	if p.Version.Normalize() == DeterminismV2 {
-		return d.runV2(p)
+		out, err := d.RunBatch(p, []BatchItem{{Apply: applyNothing, RNG: p.RNG}})
+		if err != nil {
+			return RunResult{}, err
+		}
+		return out[0], nil
 	}
+	evalMet.singleRuns.Add(1)
+	return d.accumulateV1(p).classify(), nil
+}
+
+// applyNothing is the Apply of a batch of one: the device already holds the
+// state to evaluate.
+func applyNothing(*Device) error { return nil }
+
+// accumulateV1 runs one v1 run over the compiled plan, filling its flip
+// scratch in the reference's draw order. The caller drains the scratch with
+// one of the classification tails.
+func (d *Device) accumulateV1(p RunParams) *evalPlan {
 	phys := d.cfg.Physics
 	pl := d.planFor()
 
@@ -182,8 +189,7 @@ func (d *Device) Run(p RunParams) (RunResult, error) {
 			}
 		}
 	}
-
-	return pl.classify(), nil
+	return pl
 }
 
 // classify decodes the accumulated flips of a run, draining the scratch.
@@ -221,132 +227,6 @@ func (pl *evalPlan) classify() RunResult {
 	return res
 }
 
-// classifyCounts is classify for callers that never read the error log: the
-// same SECDED verdict per corrupted word, but only the counts — no sorting,
-// no per-word allocation. Identical flips give identical counts, so the two
-// tails are interchangeable for averaging.
-func (pl *evalPlan) classifyCounts() (ce, sdc, ue int) {
-	for _, wi := range pl.touched {
-		bits := pl.flips[wi]
-		pw := &pl.words[wi]
-		word := pw.enc
-		for _, b := range bits {
-			word = word.FlipBit(b)
-		}
-		dec := ecc.Decode(word)
-		switch {
-		case dec.Status == ecc.Uncorrectable:
-			ue++
-		case dec.Data != pw.original:
-			sdc++
-		case dec.Status == ecc.Corrected:
-			ce++
-		}
-		pl.flips[wi] = bits[:0]
-	}
-	pl.touched = pl.touched[:0]
-	return ce, sdc, ue
-}
-
-// runReference is the direct (plan-free) evaluation the fast path is
-// verified against: it re-derives row order, physical positions, charge
-// states and couplings on every run. It must stay semantically frozen — the
-// differential suite in plan_test.go runs it against Run across seeds,
-// temperatures, scrambled/remapped rows, hammer patterns and per-row TREFP
-// overrides and requires bit-identical results.
-func (d *Device) runReference(p RunParams) (RunResult, error) {
-	if err := p.Validate(); err != nil {
-		return RunResult{}, err
-	}
-	phys := d.cfg.Physics
-	envByRank := make([]float64, d.geom.Ranks)
-	for rank := range envByRank {
-		temp := p.TempC
-		if t, ok := p.TempByRank[rank]; ok {
-			temp = t
-		}
-		envByRank[rank] = phys.tempFactor(temp) * phys.vddFactor(p.VDD)
-	}
-
-	flips := make(map[flipKey][]int)
-
-	// Iterate written rows in a fixed order: evaluation consumes the run's
-	// RNG stream, so the order must not depend on map iteration.
-	keys := make([]RowKey, 0, len(d.rows))
-	for key := range d.rows {
-		keys = append(keys, key)
-	}
-	sortRowKeys(keys)
-
-	for _, key := range keys {
-		hammer := d.hammerFor(key, p.ActsPerWindow)
-		envFactor := envByRank[key.Rank]
-		rp := p
-		if t, ok := p.TREFPByRow[key]; ok {
-			rp.TREFP = t
-		}
-
-		for _, idx := range d.weakByRow[key] {
-			w := &d.weak[idx]
-			if d.weakCellFails(w, key, envFactor, hammer, rp) {
-				fk := flipKey{key, w.WordCol}
-				flips[fk] = append(flips[fk], w.Bit)
-			}
-		}
-
-		for _, idx := range d.clustersByRow[key] {
-			c := &d.clusters[idx]
-			d.clusterFails(c, key, envFactor, hammer, rp, flips)
-		}
-	}
-
-	// Log errors in (rank, bank, row, word col) order, not map order: the
-	// error log of two identical runs must be identical.
-	fks := make([]flipKey, 0, len(flips))
-	for fk := range flips {
-		fks = append(fks, fk)
-	}
-	sort.Slice(fks, func(i, j int) bool {
-		a, b := fks[i], fks[j]
-		if a.key != b.key {
-			if a.key.Rank != b.key.Rank {
-				return a.key.Rank < b.key.Rank
-			}
-			if a.key.Bank != b.key.Bank {
-				return a.key.Bank < b.key.Bank
-			}
-			return a.key.Row < b.key.Row
-		}
-		return a.col < b.col
-	})
-
-	res := RunResult{CEByRank: make(map[int]int)}
-	for _, fk := range fks {
-		bits := flips[fk]
-		img := d.rows[fk.key]
-		original := img[fk.col]
-		word := ecc.Encode(original)
-		for _, b := range bits {
-			word = word.FlipBit(b)
-		}
-		dec := ecc.Decode(word)
-		we := WordError{Key: fk.key, WordCol: fk.col, Flips: bits,
-			Status: dec.Status}
-		switch {
-		case dec.Status == ecc.Uncorrectable:
-			res.UE++
-		case dec.Data != original:
-			we.SDC = true
-			res.SDC++
-		case dec.Status == ecc.Corrected:
-			res.CE++
-			res.CEByRank[int(fk.key.Rank)]++
-		}
-		res.Errors = append(res.Errors, we)
-	}
-	return res, nil
-}
-
 // hammerFor returns the per-window activations of the rows physically
 // adjacent to key — the disturbance its cells experience.
 func (d *Device) hammerFor(key RowKey, acts map[RowKey]float64) float64 {
@@ -361,97 +241,6 @@ func (d *Device) hammerFor(key RowKey, acts map[RowKey]float64) float64 {
 		h += acts[RowKey{key.Rank, key.Bank, key.Row + 1}]
 	}
 	return h
-}
-
-func (d *Device) weakCellFails(w *WeakCell, key RowKey, envFactor,
-	hammer float64, p RunParams) bool {
-	phys := d.cfg.Physics
-
-	stored, ok := d.storedBit(key, w.WordCol, w.Bit)
-	if !ok {
-		return false
-	}
-	pos := d.physBit(key, w.WordCol, w.Bit)
-	charged := stored == (d.CellTypeAt(key, pos) == TrueCell)
-
-	tau := w.Tau0 * envFactor
-	if w.VRT && p.RNG.Bool(0.5) {
-		tau *= w.VRTMult
-	}
-	lat, vert := d.neighbourCoupling(key, pos)
-	tau /= 1 + phys.CouplingAlpha*float64(lat) +
-		phys.VCouplingDelta*float64(vert)
-	tau /= 1 + phys.HammerBeta*hammer
-
-	if charged {
-		return tau < p.TREFP
-	}
-	return tau*phys.GainFactor < p.TREFP
-}
-
-// clusterFails evaluates a multi-bit defect cluster and appends any failing
-// bits to flips. All cluster cells are anti-cells sharing one retention
-// time. Two couplings lower the shared retention: the intra-cluster
-// coupling (per charged sibling) and the external coupling from charged
-// lateral neighbours of the cluster cells. Reaching the failure point below
-// the standalone onset temperature (~66 °C at the relaxed refresh period)
-// requires both the whole cluster charged (its data bits all '0') and the
-// neighbouring bits driven to their charged values — a combination the
-// paper's GA discovers at 62 °C but no simple micro-benchmark fill produces.
-func (d *Device) clusterFails(c *Cluster, key RowKey, envFactor,
-	hammer float64, p RunParams, flips map[flipKey][]int) {
-	phys := d.cfg.Physics
-	img := d.rows[key]
-	data := img[c.WordCol]
-
-	chargedN := 0
-	for _, b := range c.Bits {
-		if data&(1<<uint(b)) == 0 { // anti-cell storing '0' is charged
-			chargedN++
-		}
-	}
-	if chargedN == 0 {
-		return
-	}
-	// External coupling comes from the cells flanking the cluster (word
-	// bits 16, 19, 20, 23). Each flanking cell is charged when the word
-	// holds the cluster's own signature value at its position.
-	ext := 0
-	for i, nb := range clusterNeighbourBits {
-		bit := data&(1<<uint(nb)) != 0
-		if bit == c.Neighbours[i] {
-			ext++
-		}
-	}
-	jitter := math.Exp(p.RNG.Norm(0, phys.ClusterJitter))
-	tau := c.Tau0 * envFactor * jitter
-	tau /= 1 + phys.ClusterAlpha*float64(chargedN-1) +
-		phys.ClusterExtAlpha*float64(ext)
-	tau /= 1 + phys.ClusterHammerB*hammer
-	partialBand := phys.ClusterPartialBand
-	if partialBand < 1 {
-		partialBand = 1
-	}
-	if tau >= p.TREFP*partialBand {
-		return
-	}
-	fk := flipKey{key, c.WordCol}
-	if tau >= p.TREFP {
-		// Partial failure: only the weakest member leaks — one CE. This is
-		// the stepping stone the UE search climbs.
-		for _, b := range c.Bits {
-			if data&(1<<uint(b)) == 0 {
-				flips[fk] = append(flips[fk], b)
-				return
-			}
-		}
-		return
-	}
-	for _, b := range c.Bits {
-		if data&(1<<uint(b)) == 0 {
-			flips[fk] = append(flips[fk], b)
-		}
-	}
 }
 
 // clusterNeighbourBits are the word bits flanking the cluster positions
@@ -522,41 +311,30 @@ func (d *Device) neighbourCoupling(key RowKey, pos int) (lateral, vertical int) 
 	return lateral, vertical
 }
 
-// AverageRuns executes n runs with fresh RNG splits and returns the mean CE
-// count, the mean SDC count and the fraction of runs that hit a UE. This is
-// the paper's ten-run averaging protocol that smooths VRT noise.
-func (d *Device) AverageRuns(p RunParams, n int, rng *xrand.Rand) (meanCE,
-	meanSDC, ueFrac float64, err error) {
+// AverageRuns executes n runs with fresh RNG splits and returns their mean
+// CE and SDC counts, the fraction of runs that hit a UE and the per-rank CE
+// means. This is the paper's ten-run averaging protocol that smooths VRT
+// noise. Under v1 each run is the plan kernel of Run; under v2 the call is
+// a batch of one (AverageRunsBatch). Either way the error log is never
+// built: the counts come from the same SECDED verdicts Run logs.
+func (d *Device) AverageRuns(p RunParams, n int, rng *xrand.Rand) (BatchResult, error) {
 	if n <= 0 {
-		return 0, 0, 0, fmt.Errorf("dram: AverageRuns n = %d", n)
+		return BatchResult{}, fmt.Errorf("dram: AverageRuns n = %d", n)
 	}
-	var ceSum, sdcSum, ues int
-	for i := 0; i < n; i++ {
-		p.RNG = rng.Split()
-		if p.Version.Normalize() == DeterminismV2 {
-			// The batch never reads the error log; the v2 counts path skips
-			// building it and reuses the conditions cache across the runs.
-			ce, sdc, ue, rerr := d.runV2Counts(p)
-			if rerr != nil {
-				return 0, 0, 0, rerr
-			}
-			ceSum += ce
-			sdcSum += sdc
-			if ue > 0 {
-				ues++
-			}
-			continue
-		}
-		res, rerr := d.Run(p)
-		if rerr != nil {
-			return 0, 0, 0, rerr
-		}
-		ceSum += res.CE
-		sdcSum += res.SDC
-		if res.HasUE() {
-			ues++
-		}
+	p.RNG = rng
+	if err := p.Validate(); err != nil {
+		return BatchResult{}, err
 	}
-	return float64(ceSum) / float64(n), float64(sdcSum) / float64(n),
-		float64(ues) / float64(n), nil
+	if p.Version.Normalize() == DeterminismV2 {
+		out, err := d.AverageRunsBatch(p, n, []BatchItem{{Apply: applyNothing, RNG: rng}})
+		if err != nil {
+			return BatchResult{}, err
+		}
+		return out[0], nil
+	}
+	return averageRuns(n, rng, make([]int, d.geom.Ranks), func(r *xrand.Rand) *evalPlan {
+		p.RNG = r
+		evalMet.singleRuns.Add(1)
+		return d.accumulateV1(p)
+	}), nil
 }

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"reflect"
 	"testing"
 
 	"dstress/internal/addrmap"
@@ -78,11 +79,11 @@ func fillTailored24K(d *Device) {
 
 func meanCE(t *testing.T, d *Device, p RunParams, runs int, seed uint64) float64 {
 	t.Helper()
-	ce, _, _, err := d.AverageRuns(p, runs, xrand.New(seed))
+	res, err := d.AverageRuns(p, runs, xrand.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ce
+	return res.MeanCE
 }
 
 func relaxedParams() RunParams {
@@ -101,7 +102,7 @@ func TestRunParamValidation(t *testing.T) {
 			t.Errorf("case %d: invalid params accepted", i)
 		}
 	}
-	if _, _, _, err := d.AverageRuns(relaxedParams(), 0, xrand.New(1)); err == nil {
+	if _, err := d.AverageRuns(relaxedParams(), 0, xrand.New(1)); err == nil {
 		t.Error("AverageRuns accepted n=0")
 	}
 }
@@ -282,11 +283,11 @@ func TestClusterUEOnset(t *testing.T) {
 	ueFrac := func(temp float64, seed uint64) float64 {
 		p := relaxedParams()
 		p.TempC = temp
-		_, _, f, err := d.AverageRuns(p, 10, xrand.New(seed))
+		res, err := d.AverageRuns(p, 10, xrand.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f
+		return res.UEFrac
 	}
 
 	fire(d.ClusterFireWord)
@@ -420,11 +421,11 @@ func TestDIMMVariation(t *testing.T) {
 		fillUniform(d, 0x3333333333333333)
 		p := relaxedParams()
 		p.TempC = 60
-		ce, _, _, err := d.AverageRuns(p, 10, xrand.New(1))
+		res, err := d.AverageRuns(p, 10, xrand.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ce
+		return res.MeanCE
 	}
 	weak := mk(0.7)
 	strong := mk(12)
@@ -528,5 +529,83 @@ func TestPartialClusterSDC(t *testing.T) {
 	}
 	if res62.SDC != 0 {
 		t.Fatalf("SDCs already at 62°C (%d)", res62.SDC)
+	}
+}
+
+// averageRunsOracle is AverageRuns as a per-run loop over Run: each run
+// builds its full error log, and the counts and per-rank CEs are summed and
+// divided at the end. It shares nothing with the counts-only averaging tail
+// it checks but the kernel.
+func averageRunsOracle(t *testing.T, d *Device, p RunParams, n int,
+	rng *xrand.Rand) BatchResult {
+	t.Helper()
+	var ce, sdc, ues int
+	perRank := make([]int, d.Geometry().Ranks)
+	for i := 0; i < n; i++ {
+		p.RNG = rng.Split()
+		r, err := d.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ce += r.CE
+		sdc += r.SDC
+		if r.HasUE() {
+			ues++
+		}
+		for rank, k := range r.CEByRank {
+			perRank[rank] += k
+		}
+	}
+	res := BatchResult{MeanCE: float64(ce) / float64(n),
+		MeanSDC: float64(sdc) / float64(n), UEFrac: float64(ues) / float64(n)}
+	for rank, k := range perRank {
+		if k > 0 {
+			if res.CEByRank == nil {
+				res.CEByRank = make([]float64, len(perRank))
+			}
+			res.CEByRank[rank] = float64(k) / float64(n)
+		}
+	}
+	return res
+}
+
+// TestAverageRunsMatchesRunAggregation: under both determinism contracts,
+// the counts-only averaging tail returns exactly what aggregating full Run
+// results gives, with per-rank temperatures, hammering and per-row TREFP
+// overrides all in play, over a CE-heavy fill and a UE-heavy one.
+func TestAverageRunsMatchesRunAggregation(t *testing.T) {
+	fills := map[string]func(*Device){
+		"uniform-worst": func(d *Device) { fillUniform(d, 0x3333333333333333) },
+		"cluster-fire":  func(d *Device) { fillPerRow(d, d.ClusterFireWord) },
+	}
+	sawCE, sawUE := false, false
+	for name, fill := range fills {
+		d := MustNewDevice(hostileConfig(7))
+		fill(d)
+		for _, det := range []DeterminismVersion{DeterminismV1, DeterminismV2} {
+			p := RunParams{TREFP: relaxedTREFP, TempC: 62, VDD: relaxedVDD,
+				Version:       det,
+				TempByRank:    map[int]float64{0: 66, 1: 58},
+				ActsPerWindow: hammerActs(d, 20000),
+				TREFPByRow:    trefpOverrides(d, nominalTREFP),
+			}
+			for seed := uint64(0); seed < 3; seed++ {
+				want := averageRunsOracle(t, d, p, 10, xrand.New(seed))
+				got, err := d.AverageRuns(p, 10, xrand.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s seed %d: AverageRuns %+v, per-run oracle %+v",
+						name, det, seed, got, want)
+				}
+				sawCE = sawCE || want.CEByRank != nil
+				sawUE = sawUE || want.UEFrac > 0
+			}
+		}
+	}
+	if !sawCE || !sawUE {
+		t.Fatalf("CEs seen %v, UEs seen %v; the comparison is vacuous",
+			sawCE, sawUE)
 	}
 }

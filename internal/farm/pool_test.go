@@ -350,8 +350,8 @@ func BenchmarkFarmSpeedup(b *testing.B) {
 		return func(g ga.Genome, rng *xrand.Rand) (float64, error) {
 			word := g.(*ga.BitGenome).Bits.Uint64()
 			dev.FillAllUniform(word)
-			ce, _, _, err := dev.AverageRuns(p, 10, rng)
-			return ce, err
+			res, err := dev.AverageRuns(p, 10, rng)
+			return res.MeanCE, err
 		}, nil
 	}
 	for _, bench := range []struct {

@@ -28,12 +28,15 @@
 // guaranteed to survive a crash only once a sync covering it has returned;
 // with batching (SyncEvery > 1) the unsynced suffix is explicitly allowed to
 // vanish, and Open truncates such a torn tail off the final segment without
-// treating it as damage. Damage anywhere else — a bad frame in a non-final
-// segment, which rotation fully syncs before retiring — is real corruption:
-// Open fails loudly unless Salvage is set, in which case replay stops at the
-// damage (trusting frames beyond it could resurrect state the writer never
-// acknowledged), the dropped remainder is counted, and the surviving records
-// are compacted into a fresh segment so the store is clean again.
+// treating it as damage. A torn tail is bad bytes with nothing readable
+// after them. Any other damage is real corruption: a bad frame in a
+// non-final segment (rotation fully syncs a segment before retiring it), or
+// a bad frame in the final segment followed by an intact one (an
+// acknowledged record sits behind the damage). Open then fails loudly
+// unless Salvage is set, in which case replay stops at the damage (trusting
+// frames beyond it could resurrect state the writer never acknowledged),
+// the dropped remainder is counted, and the surviving records are compacted
+// into a fresh segment so the store is clean again.
 package seglog
 
 import (
@@ -82,8 +85,8 @@ var (
 	ErrBadManifest = errors.New("seglog: bad manifest")
 	// ErrVersion marks a store written by an incompatible format version.
 	ErrVersion = errors.New("seglog: unsupported version")
-	// ErrCorrupt marks damage before the final segment's tail — data that
-	// was acknowledged as durable and is now unreadable.
+	// ErrCorrupt marks damage that is not a torn tail — data that was
+	// acknowledged as durable and is now unreadable.
 	ErrCorrupt = errors.New("seglog: corrupt store")
 )
 
@@ -101,8 +104,8 @@ type Options struct {
 	// (checked after a sync). 0 means DefaultRotateBytes.
 	RotateBytes int64
 
-	// Salvage tolerates corruption before the final segment's tail: replay
-	// stops at the damage and Stats.DroppedFrames counts what was lost,
+	// Salvage tolerates corruption that is not a torn tail: replay stops at
+	// the damage and Stats.DroppedFrames counts what was lost,
 	// instead of Open failing with ErrCorrupt. When that happens the store
 	// is rebuilt before Open returns — the salvaged payloads are compacted
 	// into one fresh segment and the damaged segments deleted — so appends
@@ -118,9 +121,9 @@ type Stats struct {
 	Segments int
 	// Frames is the number of replayable records.
 	Frames int
-	// DroppedFrames counts records lost to mid-store corruption (Salvage
-	// mode only): the unparseable region itself counts as one, plus every
-	// frame in segments after the damaged one.
+	// DroppedFrames counts records lost to corruption (Salvage mode only):
+	// the unparseable region itself counts as one, plus every intact frame
+	// after it in the damaged segment and every frame in later segments.
 	DroppedFrames int
 	// TornBytes is the length of the unsynced tail truncated off the final
 	// segment — normal after a crash, zero after a clean shutdown.
@@ -316,45 +319,51 @@ func (s *Store) replay(res *OpenResult) (stopped bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		if final {
-			s.activeSize = validEnd
-			res.Stats.TornBytes = int64(len(rest))
-			res.Payloads = append(res.Payloads, payloads...)
-			res.Stats.Frames += len(payloads)
-			continue
-		}
-		if len(rest) > 0 {
-			// Rotation syncs a segment in full before retiring it, so a bad
-			// frame here is damage to acknowledged data, not a torn tail.
-			if !s.opts.Salvage {
-				return false, fmt.Errorf("%w: %s: bad frame at offset %d",
-					ErrCorrupt, path, validEnd)
-			}
-			res.Payloads = append(res.Payloads, payloads...)
-			res.Stats.Frames += len(payloads)
-			res.Stats.DroppedFrames++ // the unparseable region itself
-			// Frames beyond the damage are out of known order; count, drop.
-			for _, later := range s.segs[i+1:] {
-				lp, _, _, err := parseSegment(filepath.Join(s.dir, later))
-				if err == nil {
-					res.Stats.DroppedFrames += len(lp)
-				}
-			}
-			return true, nil
-		}
 		res.Payloads = append(res.Payloads, payloads...)
 		res.Stats.Frames += len(payloads)
+		// A crash tears only the unsynced end of the final segment, leaving
+		// nothing readable after the tear. Bad bytes anywhere else — in a
+		// segment rotation synced in full before retiring it, or with an
+		// intact frame after them — are damage to acknowledged data.
+		beyond := framesBeyond(rest)
+		if len(rest) == 0 || (final && beyond == 0) {
+			if final {
+				s.activeSize = validEnd
+				res.Stats.TornBytes = int64(len(rest))
+			}
+			continue
+		}
+		if !s.opts.Salvage {
+			return false, fmt.Errorf("%w: %s: bad frame at offset %d",
+				ErrCorrupt, path, validEnd)
+		}
+		// The unparseable region itself, plus the frames beyond it: they
+		// are out of known order; count, drop.
+		res.Stats.DroppedFrames += 1 + beyond
+		for _, later := range s.segs[i+1:] {
+			lp, _, _, err := parseSegment(filepath.Join(s.dir, later))
+			if err == nil {
+				res.Stats.DroppedFrames += len(lp)
+			}
+		}
+		return true, nil
 	}
 	return false, nil
 }
 
-// parseSegment reads one segment, returning its intact payloads, the offset
-// where valid data ends, and any unparseable remainder past that offset.
+// parseSegment reads one segment file and parses it with parseSegmentData.
 func parseSegment(path string) (payloads [][]byte, validEnd int64, rest []byte, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("seglog: %w", err)
 	}
+	return parseSegmentData(data, path)
+}
+
+// parseSegmentData parses one segment's bytes (path names it in errors),
+// returning its intact payloads, the offset where valid data ends, and any
+// unparseable remainder past that offset.
+func parseSegmentData(data []byte, path string) (payloads [][]byte, validEnd int64, rest []byte, err error) {
 	nl := strings.IndexByte(string(data[:min(len(data), 64)]), '\n')
 	if nl < 0 {
 		return nil, 0, nil, fmt.Errorf("%w: %s", ErrBadSegment, path)
@@ -368,22 +377,47 @@ func parseSegment(path string) (payloads [][]byte, validEnd int64, rest []byte, 
 		if len(remain) == 0 {
 			return payloads, off, nil, nil
 		}
-		if len(remain) < frameHeaderLen {
+		n, ok := frameAt(remain)
+		if !ok {
 			return payloads, off, remain, nil
 		}
-		length := binary.LittleEndian.Uint32(remain[0:4])
-		want := binary.LittleEndian.Uint32(remain[4:8])
-		if length == 0 || length > maxFrame ||
-			int64(len(remain)) < frameHeaderLen+int64(length) {
-			return payloads, off, remain, nil
-		}
-		payload := remain[frameHeaderLen : frameHeaderLen+length]
-		if crc32.Checksum(payload, crcTable) != want {
-			return payloads, off, remain, nil
-		}
-		payloads = append(payloads, payload)
-		off += frameHeaderLen + int64(length)
+		payloads = append(payloads, remain[frameHeaderLen:frameHeaderLen+n])
+		off += frameHeaderLen + int64(n)
 	}
+}
+
+// frameAt reports whether b starts with an intact frame — a plausible
+// length that fits in b and a payload matching its CRC — and returns the
+// payload length.
+func frameAt(b []byte) (int, bool) {
+	if len(b) < frameHeaderLen {
+		return 0, false
+	}
+	length := binary.LittleEndian.Uint32(b[0:4])
+	if length == 0 || length > maxFrame ||
+		uint64(len(b)) < frameHeaderLen+uint64(length) {
+		return 0, false
+	}
+	payload := b[frameHeaderLen : frameHeaderLen+length]
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(b[4:8]) {
+		return 0, false
+	}
+	return int(length), true
+}
+
+// framesBeyond counts the intact frames after the unparseable start of
+// rest, resynchronising byte by byte past every bad region.
+func framesBeyond(rest []byte) int {
+	n := 0
+	for off := 1; off+frameHeaderLen <= len(rest); {
+		if l, ok := frameAt(rest[off:]); ok {
+			n++
+			off += frameHeaderLen + l
+			continue
+		}
+		off++
+	}
+	return n
 }
 
 func parseSegHeader(line, path string) error {

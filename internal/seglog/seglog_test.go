@@ -2,8 +2,10 @@ package seglog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -319,4 +321,116 @@ func TestConcurrentAppend(t *testing.T) {
 	if len(res.Payloads) != writers*each {
 		t.Fatalf("replayed %d of %d", len(res.Payloads), writers*each)
 	}
+}
+
+// TestFinalSegmentCorruptionRefused is the regression test for damage inside
+// the final segment: a flipped byte with intact, acknowledged frames after
+// it is corruption, not a torn tail. Replay used to treat it as a tail and
+// truncate it, so a strict open silently kept only the records before the
+// damage and physically destroyed the rest. Now a strict open refuses the
+// store and leaves its bytes untouched, and salvage keeps the prefix and
+// counts what it drops.
+func TestFinalSegmentCorruptionRefused(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	st, _ := openT(t, dir, Options{SyncEvery: 1})
+	appendN(t, st, 0, 10)
+	st.Close()
+	segs, _, err := readManifest(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 {
+		t.Fatalf("need a single segment, got %d", len(segs))
+	}
+	active := filepath.Join(dir, segs[0])
+	data, err := os.ReadFile(active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip one payload byte of the fourth record (payloads 0..9 are all
+	// the same length), a third of the way into the store.
+	start := bytes.IndexByte(data, '\n') + 1
+	frameLen := frameHeaderLen + len(payload(0))
+	data[start+3*frameLen+frameHeaderLen+2] ^= 0xff
+	if err := os.WriteFile(active, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("strict open of a damaged final segment: %v", err)
+	}
+	if after, err := os.ReadFile(active); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("strict open modified the damaged segment (err %v)", err)
+	}
+
+	st2, res, err := Open(dir, Options{Salvage: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPayloads(t, res, 3)
+	if res.Stats.DroppedFrames != 7 || res.Stats.TornBytes != 0 {
+		t.Fatalf("salvage stats %+v, want 7 dropped frames and no torn tail",
+			res.Stats)
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st3, res := openT(t, dir, Options{})
+	defer st3.Close()
+	wantPayloads(t, res, 3)
+	if res.Stats.DroppedFrames != 0 || res.Stats.TornBytes != 0 {
+		t.Fatalf("strict reopen after salvage: %+v", res.Stats)
+	}
+}
+
+// frameBytes encodes one frame exactly as Append writes it.
+func frameBytes(p []byte) []byte {
+	var hdr [frameHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(p, crcTable))
+	return append(hdr[:], p...)
+}
+
+// FuzzParseSegment: the segment decoder never panics, returns only
+// payloads that sit in intact frames (length and CRC-32C match), accounts
+// for every input byte (validEnd + len(rest) is the input length), and the
+// resynchronising scan over the remainder never panics either.
+func FuzzParseSegment(f *testing.F) {
+	header := []byte(fmt.Sprintf("%s v%d\n", SegMagic, Version))
+	var frames []byte
+	for i := 0; i < 3; i++ {
+		frames = append(frames, frameBytes(payload(i))...)
+	}
+	whole := append(append([]byte(nil), header...), frames...)
+	f.Add(whole)
+	f.Add(whole[:len(whole)-5]) // torn tail
+	flipped := append([]byte(nil), whole...)
+	flipped[len(header)+frameHeaderLen+1] ^= 0x40 // damage before intact frames
+	f.Add(flipped)
+	f.Add(header)
+	f.Add([]byte("dstress-seglog v2\n"))
+	f.Add([]byte("not a segment"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payloads, validEnd, rest, err := parseSegmentData(data, "fuzz")
+		if err != nil {
+			return
+		}
+		if validEnd+int64(len(rest)) != int64(len(data)) {
+			t.Fatalf("validEnd %d + rest %d != input %d",
+				validEnd, len(rest), len(data))
+		}
+		off := int64(bytes.IndexByte(data, '\n') + 1)
+		for i, p := range payloads {
+			want := frameBytes(p)
+			if !bytes.HasPrefix(data[off:], want) {
+				t.Fatalf("payload %d at offset %d is not an intact frame", i, off)
+			}
+			off += int64(len(want))
+		}
+		if off != validEnd {
+			t.Fatalf("payload frames end at %d, validEnd %d", off, validEnd)
+		}
+		framesBeyond(rest)
+	})
 }

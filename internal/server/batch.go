@@ -29,20 +29,9 @@ func (s *Server) EvaluateBatch(mcu, runs int, deploys []func() error,
 			len(deploys), len(rngs))
 	}
 	ctl := s.MCU(mcu)
-	tempByRank := map[int]float64{}
-	for rank := 0; rank < ctl.Device().Geometry().Ranks; rank++ {
-		t, err := s.testbed.Temp(mcu, rank)
-		if err != nil {
-			return nil, err
-		}
-		tempByRank[rank] = t
-	}
-	p := dram.RunParams{
-		TREFP:      ctl.TREFP(),
-		TempC:      s.DIMMTemp(mcu),
-		TempByRank: tempByRank,
-		VDD:        ctl.VDD(),
-		Version:    s.cfg.Determinism,
+	p, err := s.runParams(mcu)
+	if err != nil {
+		return nil, err
 	}
 	items := make([]dram.BatchItem, len(deploys))
 	for i := range items {
@@ -59,18 +48,7 @@ func (s *Server) EvaluateBatch(mcu, runs int, deploys []func() error,
 	}
 	out := make([]EvalResult, len(batch))
 	for i, b := range batch {
-		res := EvalResult{
-			MeanCE:   b.MeanCE,
-			MeanSDC:  b.MeanSDC,
-			UEFrac:   b.UEFrac,
-			CEByRank: make(map[int]float64),
-		}
-		for rank, mean := range b.CEByRank {
-			if mean != 0 {
-				res.CEByRank[rank] = mean
-			}
-		}
-		out[i] = res
+		out[i] = evalResult(b)
 	}
 	return out, nil
 }

@@ -223,49 +223,57 @@ func (s *Server) Evaluate(mcu, runs int, rng *xrand.Rand) (EvalResult, error) {
 		return EvalResult{}, fmt.Errorf("server: Evaluate runs = %d", runs)
 	}
 	ctl := s.MCU(mcu)
-	// Each rank has its own heater channel; feed the per-rank sensor
-	// readings into the retention model.
+	p, err := s.runParams(mcu)
+	if err != nil {
+		return EvalResult{}, err
+	}
+	p.ActsPerWindow = ctl.ActsPerWindow()
+	b, err := ctl.Device().AverageRuns(p, runs, rng)
+	if err != nil {
+		return EvalResult{}, err
+	}
+	return evalResult(b), nil
+}
+
+// runParams reads one MCU's operating conditions for an evaluation: its
+// refresh period and supply voltage, the DIMM temperature and — since each
+// rank has its own heater channel — the per-rank sensor readings, under the
+// server's determinism contract. The activation rates are per deploy and
+// left to the caller.
+func (s *Server) runParams(mcu int) (dram.RunParams, error) {
+	ctl := s.MCU(mcu)
 	tempByRank := map[int]float64{}
 	for rank := 0; rank < ctl.Device().Geometry().Ranks; rank++ {
 		t, err := s.testbed.Temp(mcu, rank)
 		if err != nil {
-			return EvalResult{}, err
+			return dram.RunParams{}, err
 		}
 		tempByRank[rank] = t
 	}
-	p := dram.RunParams{
-		TREFP:         ctl.TREFP(),
-		TempC:         s.DIMMTemp(mcu),
-		TempByRank:    tempByRank,
-		VDD:           ctl.VDD(),
-		ActsPerWindow: ctl.ActsPerWindow(),
-		Version:       s.cfg.Determinism,
+	return dram.RunParams{
+		TREFP:      ctl.TREFP(),
+		TempC:      s.DIMMTemp(mcu),
+		TempByRank: tempByRank,
+		VDD:        ctl.VDD(),
+		Version:    s.cfg.Determinism,
+	}, nil
+}
+
+// evalResult converts the dram layer's averaged measurement, keeping only
+// the ranks that saw a correctable error.
+func evalResult(b dram.BatchResult) EvalResult {
+	res := EvalResult{
+		MeanCE:   b.MeanCE,
+		MeanSDC:  b.MeanSDC,
+		UEFrac:   b.UEFrac,
+		CEByRank: make(map[int]float64),
 	}
-	res := EvalResult{CEByRank: make(map[int]float64)}
-	ues := 0
-	for i := 0; i < runs; i++ {
-		p.RNG = rng.Split()
-		r, err := ctl.Device().Run(p)
-		if err != nil {
-			return EvalResult{}, err
-		}
-		res.MeanCE += float64(r.CE)
-		res.MeanSDC += float64(r.SDC)
-		if r.HasUE() {
-			ues++
-		}
-		for rank, n := range r.CEByRank {
-			res.CEByRank[rank] += float64(n)
+	for rank, mean := range b.CEByRank {
+		if mean != 0 {
+			res.CEByRank[rank] = mean
 		}
 	}
-	n := float64(runs)
-	res.MeanCE /= n
-	res.MeanSDC /= n
-	res.UEFrac = float64(ues) / n
-	for rank := range res.CEByRank {
-		res.CEByRank[rank] /= n
-	}
-	return res, nil
+	return res
 }
 
 // DRAMPower returns the current power draw of each DIMM, using each MCU's
